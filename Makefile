@@ -81,7 +81,8 @@ profile-smoke:
 obs-smoke:
 	python scripts/obs_smoke.py
 
-# Trajectory kernel equivalence: fast vs reference bounds bit-identical
-# on every scenario, across --jobs and cold/warm incremental cache.
+# Trajectory kernel equivalence: fast vs frozen reference oracle
+# (tests/trajectory/reference_kernel.py), bounds bit-identical on every
+# scenario, across --jobs and cold/warm incremental cache.
 kernel-gate:
 	python scripts/kernel_gate.py

@@ -36,7 +36,7 @@ python -m pytest -x -q \
 echo "== incremental equivalence (30-edit replay vs cold, jobs=2, warm cache dir) =="
 python scripts/incremental_gate.py
 
-echo "== kernel equivalence (fast vs reference, bit-identical across jobs + cache) =="
+echo "== kernel equivalence (fast vs frozen reference oracle, bit-identical across jobs + cache) =="
 python scripts/kernel_gate.py
 
 echo "== fleet equivalence (one warm pool across all scenarios at --jobs 4, no shm leaks) =="

@@ -1,24 +1,24 @@
 """Kernel-equivalence gate (run by ``scripts/check.sh``).
 
-The trajectory analyzer ships two sweep implementations: the
-``reference`` kernel (the straight transcription of the paper's
-per-candidate walk) and the ``fast`` kernel (flat per-port competitor
-tables, batched busy-period folds, shared-subpath memoization and a
-proven candidate-dominance prune — see docs/PERFORMANCE.md).  The
-contract is Zippo & Stea's: *faster, not looser*.  This gate enforces
-it bit for bit:
+The trajectory analyzer's walk (flat per-port competitor tables,
+batched busy-period folds, shared-subpath memoization and a proven
+candidate-dominance prune — see docs/PERFORMANCE.md) is checked
+against the frozen reference oracle in
+``tests/trajectory/reference_kernel.py``, the straight transcription of
+the paper's per-candidate walk.  The contract is Zippo & Stea's:
+*faster, not looser*.  This gate enforces it bit for bit:
 
-1. On every scenario below, the fast kernel's per-path bounds equal
-   the reference kernel's **exactly** — every float field and the
-   competitor count; only ``n_candidates`` may be *smaller* (the
-   dominance prune skips candidates it proves cannot win).
-2. The fast kernel is self-consistent across execution shapes:
+1. On every scenario below, the analyzer's per-path bounds equal the
+   oracle's **exactly** — every float field and the competitor count;
+   only ``n_candidates`` may be *smaller* (the dominance prune skips
+   candidates it proves cannot win).
+2. The analyzer is self-consistent across execution shapes:
    ``--jobs 1`` vs ``--jobs 2`` and cold vs warm incremental cache all
    yield bit-identical paths and byte-identical deterministic
    :class:`CostLedger` sections.
-3. Across kernels the deterministic ledger sections agree after the
-   candidate-evaluation counters (the only prune-dependent numbers)
-   are dropped.
+3. Against the oracle the deterministic ledger sections agree after
+   the candidate-evaluation counters (the only prune-dependent
+   numbers) are dropped.
 
 Any violation prints the offending scenario and exits non-zero.
 
@@ -34,7 +34,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))  # the oracle lives under tests/
 
 from repro.batch import BatchAnalyzer  # noqa: E402
 from repro.batch import shm  # noqa: E402
@@ -46,7 +48,9 @@ from repro.configs.industrial import (  # noqa: E402
 )
 from repro.configs.random_topology import random_network  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
-from repro.trajectory.analyzer import TrajectoryAnalyzer  # noqa: E402
+from tests.trajectory.reference_kernel import (  # noqa: E402
+    ReferenceTrajectoryAnalyzer,
+)
 
 _FLOAT_FIELDS = (
     "total_us",
@@ -157,31 +161,30 @@ def main(argv=None):
 
 def _run_scenarios(jobs, pool):
     for scenario, network, mode in _scenarios():
-        reference = TrajectoryAnalyzer(
-            network, serialization=mode, kernel="reference", collect_stats=True
+        reference = ReferenceTrajectoryAnalyzer(
+            network, serialization=mode, collect_stats=True
         ).analyze()
 
         fast_j1 = BatchAnalyzer(
             network, jobs=1, serialization=mode, collect_stats=True,
-            trajectory_kernel="fast",
         ).trajectory()
         _check_paths(scenario, "fast jobs=1 vs reference", reference, fast_j1)
 
         fast_jn = BatchAnalyzer(
             network, jobs=jobs, serialization=mode, collect_stats=True,
-            trajectory_kernel="fast", pool=pool,
+            pool=pool,
         ).trajectory()
         _check_paths(scenario, f"fast jobs={jobs} vs reference", reference, fast_jn)
 
         with tempfile.TemporaryDirectory(prefix="afdx-kernel-gate-") as cache:
             cold = BatchAnalyzer(
                 network, jobs=1, serialization=mode, collect_stats=True,
-                trajectory_kernel="fast", incremental=True, cache_dir=cache,
+                incremental=True, cache_dir=cache,
             ).trajectory()
             _check_paths(scenario, "fast cold cache vs reference", reference, cold)
             warm = BatchAnalyzer(
                 network, jobs=1, serialization=mode, collect_stats=True,
-                trajectory_kernel="fast", incremental=True, cache_dir=cache,
+                incremental=True, cache_dir=cache,
             ).trajectory()
             _check_paths(scenario, "fast warm cache vs reference", reference, warm)
 
@@ -195,13 +198,13 @@ def _run_scenarios(jobs, pool):
         ):
             if _ledger_section(result) != section:
                 _fail(scenario, f"fast ledger section drifted under {label}")
-        # ...and equal to the reference's once the prune-dependent
+        # ...and equal to the oracle's once the prune-dependent
         # candidate counters are dropped
         if _scrub_candidates(section) != _scrub_candidates(
             _ledger_section(reference)
         ):
-            _fail(scenario, "cross-kernel ledger sections differ beyond "
-                            "candidate evaluations")
+            _fail(scenario, "ledger sections differ from the oracle's "
+                            "beyond candidate evaluations")
 
         pruned = sum(
             reference.paths[key].n_candidates - fast_j1.paths[key].n_candidates

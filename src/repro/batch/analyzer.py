@@ -90,9 +90,8 @@ class _Payload:
     smax_seed: Optional[Dict[FlowPortKey, float]] = None
     incremental: bool = False
     cache_dir: Optional[str] = None
-    trajectory_kernel: Optional[str] = None
     #: shared-memory spec + per-port index of the coordinator's
-    #: exported fast-kernel tables (``export_fast_tables``), or None
+    #: exported competitor tables (``export_fast_tables``), or None
     fast_tables: Optional[Tuple[_shm.ShmSpec, Dict[PortId, Tuple[int, int]]]] = None
 
 
@@ -161,7 +160,6 @@ def _build_trajectory_analyzer(payload: _Payload) -> TrajectoryAnalyzer:
         refine_smax=False,
         incremental=payload.incremental,
         cache=_worker_cache(payload),
-        kernel=payload.trajectory_kernel,
     )
     smax_seed = payload.smax_seed
     if payload.fast_tables is not None:
@@ -280,9 +278,9 @@ class BatchAnalyzer:
         ``0`` means one worker per CPU core.
     grouping / frame_overhead_bytes:
         Forwarded to the Network Calculus analyzer.
-    serialization / refine_smax / max_refinements / trajectory_kernel:
+    serialization / refine_smax / max_refinements:
         Forwarded to the Trajectory analyzer (coordinator and every
-        worker; bounds are bit-identical for either kernel).
+        worker).
     collect_stats / progress:
         Observability (:mod:`repro.obs`): when enabled, worker
         utilization, chunk counts and per-worker cache hit-rates land
@@ -308,7 +306,7 @@ class BatchAnalyzer:
         it; the caller owns its lifecycle.  ``jobs`` is taken from the
         pool.
     use_shm:
-        Ship the fast kernel's flat tables (and warm-pool payload
+        Ship the trajectory analyzer's flat tables (and warm-pool payload
         epochs) through shared memory (default).  ``False`` falls back
         to fork-copy/pickling — bounds are identical either way.
     """
@@ -327,7 +325,6 @@ class BatchAnalyzer:
         incremental: bool = False,
         cache_dir: Optional[str] = None,
         explain: bool = False,
-        trajectory_kernel: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
         use_shm: bool = True,
     ) -> None:
@@ -339,7 +336,6 @@ class BatchAnalyzer:
         self.refine_smax = refine_smax
         self.max_refinements = max_refinements
         self.explain = explain
-        self.trajectory_kernel = trajectory_kernel
         self.collect_stats = collect_stats
         self._progress = progress
         self.incremental = incremental or cache_dir is not None
@@ -478,7 +474,6 @@ class BatchAnalyzer:
                 incremental=self.incremental,
                 cache=self._cache,
                 explain=self.explain,
-                kernel=self.trajectory_kernel,
             )
         network = self.network
         obs = Instrumentation.create(self.collect_stats, self._progress)
@@ -487,18 +482,17 @@ class BatchAnalyzer:
             serialization=self.serialization,
             refine_smax=self.refine_smax,
             max_refinements=self.max_refinements,
-            kernel=self.trajectory_kernel,
         )
         coordinator.prepare(smax_seed=smax_seed)
         # same walk order as the sequential sweep; chunked contiguously
         vl_names = list(network.virtual_links)
         chunks = chunked(vl_names, self.jobs * 4)
-        # fast-kernel runs pack the coordinator's flat tables into one
-        # shared-memory arena: workers map the columns read-only
-        # instead of rebuilding (or fork-copying) them per process
+        # pack the coordinator's flat tables into one shared-memory
+        # arena: workers map the columns read-only instead of
+        # rebuilding (or fork-copying) them per process
         arena: Optional[_shm.ShmArena] = None
         fast_tables = None
-        if self.use_shm and coordinator.kernel == "fast":
+        if self.use_shm:
             columns, table_index = coordinator.export_fast_tables()
             try:
                 arena = _shm.ShmArena(columns)
@@ -521,7 +515,6 @@ class BatchAnalyzer:
                 smax_seed=coordinator.smax_snapshot(),
                 incremental=self.incremental,
                 cache_dir=self.cache_dir,
-                trajectory_kernel=self.trajectory_kernel,
                 fast_tables=fast_tables,
             )
             ledger = CostLedger("trajectory") if self.collect_stats else None
@@ -627,7 +620,6 @@ class BatchAnalyzer:
                 collect_stats=self.collect_stats,
                 progress=self._progress,
                 explain=self.explain,
-                trajectory_kernel=self.trajectory_kernel,
             )
         own_pool: Optional[WorkerPool] = None
         if self._external_pool is None:

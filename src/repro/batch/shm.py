@@ -2,7 +2,7 @@
 
 The batch engine ships two kinds of bulk data to workers:
 
-* the fast trajectory kernel's flat per-port competitor tables and the
+* the trajectory analyzer's flat per-port competitor tables and the
   ``Smax`` seed pack (large float/int columns, read-only after
   ``prepare()``), and
 * the pickled worker payload itself when a warm :class:`~repro.batch.

@@ -161,12 +161,16 @@ OBS_FLAG_DESTS = (
     "history_dir",
 )
 
+#: argparse dests of the shared analysis flag group, inherited through
+#: :func:`_analysis_parent` by every subcommand that runs the analyzers.
+ANALYSIS_FLAG_DESTS = ("no_grouping", "serialization")
+
 #: argparse dests that describe *how* a run executed (worker count,
-#: cache placement, kernel choice) rather than *what* it analyzed.
+#: cache placement) rather than *what* it analyzed.
 #: They land in the run-history record's volatile ``execution``
 #: section, never its deterministic ``options`` core — the core must be
 #: byte-stable across ``--jobs`` and cache states.
-_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "no_shm", "trajectory_kernel"))
+_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "no_shm"))
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -229,9 +233,31 @@ def _obs_parent() -> argparse.ArgumentParser:
     return obs
 
 
+def _analysis_parent() -> argparse.ArgumentParser:
+    """The shared analysis flag group of the analyzing subcommands.
+
+    ``analyze``, ``profile``, ``whatif`` and ``explain`` take it as a
+    parent, so the NC grouping switch and the trajectory serialization
+    mode have one definition (same choices, default and help).
+    """
+    analysis = argparse.ArgumentParser(add_help=False)
+    group = analysis.add_argument_group("analysis")
+    group.add_argument(
+        "--no-grouping", action="store_true", help="disable NC grouping"
+    )
+    group.add_argument(
+        "--serialization",
+        choices=["paper", "windowed", "safe"],
+        default="windowed",
+        help="Trajectory serialization mode (default: windowed)",
+    )
+    return analysis
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``afdx`` argument parser (exposed for testing)."""
     obs = _obs_parent()
+    analysis = _analysis_parent()
 
     parser = argparse.ArgumentParser(
         prog="afdx",
@@ -241,25 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser(
-        "analyze", parents=[obs], help="compute delay bounds for a configuration"
+        "analyze",
+        parents=[obs, analysis],
+        help="compute delay bounds for a configuration",
     )
     analyze.add_argument("config", help="configuration JSON file")
-    analyze.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    analyze.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
-    analyze.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
-    )
     analyze.add_argument(
         "--top", type=int, default=0, help="print only the N largest combined bounds"
     )
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_cmd = sub.add_parser(
         "profile",
-        parents=[obs],
+        parents=[obs, analysis],
         help="run both analyzers and print deterministic hot-spot reports",
     )
     profile_cmd.add_argument("config", help="configuration JSON file")
@@ -311,22 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument(
         "--output", "-o", default=None, metavar="PATH",
         help="write the report to PATH instead of stdout",
-    )
-    profile_cmd.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    profile_cmd.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
-    profile_cmd.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
     )
     profile_cmd.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -436,29 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     whatif = sub.add_parser(
-        "whatif", parents=[obs],
+        "whatif", parents=[obs, analysis],
         help="apply an edit script and re-analyze only the dirty region",
     )
     whatif.add_argument("config", help="configuration JSON file")
     whatif.add_argument(
         "edits",
         help='edit-script JSON file ({"edits": [{"op": "retime", ...}, ...]})',
-    )
-    whatif.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    whatif.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
-    whatif.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
     )
     whatif.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -472,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     explain = sub.add_parser(
-        "explain", parents=[obs],
+        "explain", parents=[obs, analysis],
         help="decompose every bound into additive terms and attribute "
         "the per-path gap between the two methods",
     )
@@ -493,22 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=0, metavar="N",
         help="detail only the N paths with the largest |gap| "
         "(the summary always covers every path)",
-    )
-    explain.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    explain.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
-    explain.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
     )
     explain.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -689,7 +653,7 @@ def _history_options(args: argparse.Namespace) -> Dict[str, object]:
     """Manifest options minus execution shape.
 
     The run-history record splits a deterministic core from a volatile
-    shell; ``jobs``/``cache_dir``/``no_shm``/``trajectory_kernel`` only
+    shell; ``jobs``/``cache_dir``/``no_shm`` only
     change *how* bounds are computed, never their bytes, so they live
     in the record's ``execution`` section instead of here.
     """
@@ -748,7 +712,6 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
         collect_stats=ctx.collect,
         progress=ctx.progress,
         cache_dir=args.cache_dir,
-        trajectory_kernel=args.trajectory_kernel,
         use_shm=not args.no_shm,
     )
     nc = batch.network_calculus()
@@ -809,7 +772,6 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
         collect_stats=True,
         progress=ctx.progress,
         cache_dir=args.cache_dir,
-        trajectory_kernel=args.trajectory_kernel,
         use_shm=not args.no_shm,
     )
     nc = batch.network_calculus()
@@ -992,7 +954,6 @@ def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
         serialization=args.serialization,
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        trajectory_kernel=args.trajectory_kernel,
     )
     engine.analyze_base()
     delta = engine.apply(edits)
@@ -1046,7 +1007,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         cache_dir=args.cache_dir,
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        trajectory_kernel=args.trajectory_kernel,
     )
     ctx.record_bounds(explanation.netcalc, explanation.trajectory)
     text = render_explanation(

@@ -63,7 +63,6 @@ def analyze_network(
     collect_stats: bool = False,
     progress=None,
     explain: bool = False,
-    trajectory_kernel: Optional[str] = None,
 ) -> AnalysisResult:
     """Run both methods on ``network`` and combine them per path.
 
@@ -72,10 +71,6 @@ def analyze_network(
     grouping / serialization / refine_smax:
         Forwarded to the respective analyzers (all default to the
         paper's tool configuration).
-    trajectory_kernel:
-        ``"fast"`` (default) or ``"reference"`` — which trajectory
-        sweep implementation to run; the two produce bit-identical
-        bounds (enforced by ``scripts/kernel_gate.py``).
     nc_result / trajectory_result:
         Pre-computed results to reuse instead of re-running an analysis
         (e.g. in parameter sweeps that only perturb one method's input).
@@ -104,6 +99,5 @@ def analyze_network(
             collect_stats=collect_stats,
             progress=progress,
             explain=explain,
-            kernel=trajectory_kernel,
         )
     return build_comparison(nc_result, trajectory_result)

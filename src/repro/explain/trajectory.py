@@ -63,9 +63,10 @@ def _path_walk_state(analyzer, vl_name: str, ports: List[PortId]):
     Returns ``(charge_entries, per-port serialization gains)`` where
     each charge entry is ``(name, meeting_port, (C, T, A), kind)`` in
     the order the walk folded the flows in.  Mirrors
-    :meth:`TrajectoryAnalyzer._walk_tree` exactly: the state at a tree
-    node only depends on the root->node path (sibling branches are
-    rolled back), so a linear walk reproduces it.
+    :meth:`TrajectoryAnalyzer._walk_tree_fast` (and the frozen reference
+    walk in ``tests/trajectory/reference_kernel.py``) exactly: the state
+    at a tree node only depends on the root->node path (sibling branches
+    are rolled back), so a linear walk reproduces it.
     """
     network = analyzer.network
     vl = network.vl(vl_name)

@@ -232,7 +232,7 @@ def build_run_record(
     ``work`` is the deterministic cost-ledger signature
     (:func:`repro.obs.costmodel.work_summary` shape: analyzer ->
     counter -> int); ``cache`` the per-analyzer hit/miss tallies;
-    ``execution`` the run shape (jobs, shm, kernel, fleet summary).
+    ``execution`` the run shape (jobs, shm, fleet summary).
     ``git_rev`` / ``recorded_at`` default to live provenance — tests
     pass explicit values to pin them.
     """

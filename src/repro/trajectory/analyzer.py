@@ -38,26 +38,20 @@ tree port is proportional to the *new* competitors met there rather
 than to the whole competitor set — this is what keeps the ~1000-VL
 industrial configuration tractable in seconds.
 
-Two interchangeable kernels execute that walk (``kernel=`` parameter):
+The walk runs over flat per-port competitor tables (parallel ``(C, T,
+Smin, Smax)`` arrays over each port's sorted members) instead of
+per-candidate dict walks; the meeting structure is resolved once per
+port path into member *indices*; finished walks are memoized across
+sweeps keyed by the packed ``Smax`` slices they read
+(``repro.incremental``'s content-addressed packing), so a converged
+region is never re-walked; and the candidate scan prunes provably
+dominated instants (:meth:`TrajectoryAnalyzer._maximize_fast`).
 
-``"fast"`` (the default)
-    Flat per-port competitor tables (parallel ``(C, T, Smin, Smax)``
-    arrays over each port's sorted members) replace the per-candidate
-    dict walks and attribute-property chains; the meeting structure is
-    resolved once per ``(VL, port)`` into member *indices*; finished
-    walks are memoized across sweeps keyed by the packed ``Smax``
-    slices they read (``repro.incremental``'s content-addressed
-    packing), so a converged region is never re-walked; and the
-    candidate scan prunes provably dominated instants
-    (:meth:`TrajectoryAnalyzer._maximize_fast`).
-
-``"reference"``
-    The original dict-based walk, kept verbatim as the control.
-
-Both kernels replay the exact same floating-point operation sequence
-for every bound they emit, so their results are **bit-identical** —
-``scripts/kernel_gate.py`` enforces this on every ``make check``; only
-``n_candidates`` may differ (the fast kernel evaluates fewer, see
+Its bounds are **bit-identical** to the original dict-based walk, which
+is kept frozen as a test oracle in ``tests/trajectory/reference_kernel.py``:
+both replay the exact same floating-point operation sequence for every
+bound they emit.  ``scripts/kernel_gate.py`` enforces this on every
+``make check``; only ``n_candidates`` may be smaller here (see
 ``docs/PERFORMANCE.md`` for the dominance proof).
 """
 
@@ -94,7 +88,7 @@ _LOG = get_logger("trajectory")
 
 _EPS = 1e-6
 
-#: fast kernel: smallest per-port competitor batch worth the numpy
+#: smallest per-port competitor batch worth the numpy
 #: dispatch overhead; smaller batches run the scalar fold loop (both
 #: paths compute the same floats, so the threshold is purely a tuning
 #: knob, not a semantics switch)
@@ -114,7 +108,7 @@ _BOUNDARY_TOL = 2.0 ** -50
 def _batch_fold(
     c: "np.ndarray", period: "np.ndarray", offset: "np.ndarray", horizon: float
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vector twin of the scalar per-competitor fold (fast kernel).
+    """Vector twin of the scalar per-competitor fold.
 
     ``bases[i]`` is bit-identical to
     ``interference_count(0.0, offset[i], period[i]) * c[i]``: every
@@ -152,7 +146,7 @@ def _batch_fold(
 def _replay_add(value: float, terms) -> float:
     """``(((value + t0) + t1) + ...)`` — the exact sequential chain.
 
-    This *is* the reference kernel's accumulation: a ``+=`` chain over
+    This *is* the reference walk's accumulation: a ``+=`` chain over
     the per-flow bases in add order.  The batch fold hands the bases
     over as a tuple of Python floats so replaying a cached fold costs a
     plain scalar loop (cheaper than any numpy round-trip at the 16-64
@@ -170,7 +164,7 @@ def _flow_events(
     """One flow's base workload and candidate jump events ``(t, C)``.
 
     Pure in its four floats, which is what makes the per-sweep
-    event memo in :meth:`TrajectoryAnalyzer._walk_tree` exact: the same
+    event memo in :meth:`TrajectoryAnalyzer._walk_tree_fast` exact: the same
     ``(C, T, A, horizon)`` always reproduces the same event tuple.
     """
     base = interference_count(0.0, offset, period) * c
@@ -239,12 +233,6 @@ class TrajectoryAnalyzer:
         skipped — provenance needs the final sweep's live state, so it
         is always recomputed, never served stale (per-walk and per-port
         caches still apply).
-    kernel:
-        ``"fast"`` (default) or ``"reference"`` — which tree-walk
-        implementation executes the sweeps (see the module docstring).
-        Bounds are bit-identical between the two; the fast kernel may
-        evaluate fewer candidates (``n_candidates``) thanks to the
-        proven dominance pruning.
     """
 
     def __init__(
@@ -258,17 +246,9 @@ class TrajectoryAnalyzer:
         incremental: bool = False,
         cache=None,
         explain: bool = False,
-        kernel: Optional[str] = None,
     ):
         if max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
-        kernel = "fast" if kernel is None else str(kernel)
-        if kernel not in ("fast", "reference"):
-            raise ValueError(
-                f"unknown trajectory kernel {kernel!r}; "
-                "expected 'fast' or 'reference'"
-            )
-        self.kernel = kernel
         self.network = network
         self.serialization_mode = normalize_mode(serialization)
         self.refine_smax = refine_smax
@@ -342,10 +322,6 @@ class TrajectoryAnalyzer:
             self.serialization_mode,
             self.refine_smax,
             self.max_refinements,
-            # kernel tag: cached records embed n_candidates, which is
-            # legitimately smaller under the fast kernel's pruning —
-            # entries must never cross kernels
-            self.kernel,
         )
 
     def analyze(self) -> TrajectoryResult:
@@ -568,8 +544,10 @@ class TrajectoryAnalyzer:
             self._port_max_c[pid] = max(
                 network.vl(v).s_max_bits / rate for v in members
             )
-        # per-VL multicast tree: root port and children adjacency
+        # per-VL multicast tree: root port and children adjacency, plus
+        # its ports in the DFS preorder the walk visits them
         self._trees: Dict[str, Tuple[PortId, Dict[PortId, List[PortId]]]] = {}
+        self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {}
         for vl_name in network.virtual_links:
             children: Dict[PortId, List[PortId]] = {}
             root: Optional[PortId] = None
@@ -582,6 +560,13 @@ class TrajectoryAnalyzer:
                         siblings.append(child)
             assert root is not None
             self._trees[vl_name] = (root, children)
+            order: List[PortId] = []
+            stack = [root]
+            while stack:
+                port = stack.pop()
+                order.append(port)
+                stack.extend(reversed(children.get(port, ())))
+            self._walk_tree_ports[vl_name] = tuple(order)
         # upstream port of each VL at each of its tree ports
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
             key: network.upstream_port(key[0], key[1]) for key in self._prefixes
@@ -605,39 +590,31 @@ class TrajectoryAnalyzer:
         self._event_cache: Dict[
             Tuple[float, float, float, float], Tuple[float, Tuple[Tuple[float, float], ...]]
         ] = {}
-        # per-sweep packed Smax slices, one per port (`_port_pack`) —
-        # only filled when incremental, but cleared unconditionally
+        # per-sweep packed Smax slices, one per port (`_port_pack`)
         self._port_packs: Dict[PortId, bytes] = {}
         self._cache_counters: Dict[str, List[int]] = {
             "horizon": [0, 0],
             "meetings": [0, 0],
             "events": [0, 0],
+            "sweep_memo": [0, 0],
         }
         if self.incremental:
             self._cache_counters["walk"] = [0, 0]
+            self._cache_counters["node"] = [0, 0]
         # owner-node technological latency per port (hot in every visit)
         self._port_lat: Dict[PortId, float] = {
             pid: network.node(pid[0]).technological_latency_us
             for pid in self._port_vls
         }
-        if self.kernel == "fast":
-            self._precompute_fast_tables()
-
-    def _precompute_fast_tables(self) -> None:
-        """Flat per-port competitor tables for the fast kernel.
-
-        One tuple of parallel arrays per port, indexed by the position
-        of each member in the port's sorted member tuple:
-
-        ``(members, C, T, vl_index, upstream, Smin, position)``
-
-        ``C`` is built with the exact expression the reference kernel
-        evaluates per meeting (``vl.s_max_bits / rate``), so every
-        float read from these tables is bit-identical to the dict walk.
-        ``Smax`` is the only sweep-varying input; its per-port slices
-        are rebuilt lazily each sweep (:meth:`_smax_slice`).
-        """
-        network = self.network
+        # flat per-port competitor tables: one tuple of parallel arrays
+        # per port, indexed by the position of each member in the
+        # port's sorted member tuple:
+        #   (members, C, T, vl_index, upstream, Smin, position)
+        # C is built with the exact expression `_competitor_entry`
+        # evaluates per meeting (``vl.s_max_bits / rate``), so every
+        # float read from these tables is bit-identical to it.  Smax is
+        # the only sweep-varying input; its per-port slices are rebuilt
+        # lazily each sweep (`_smax_slice`).
         vl_order = sorted(network.virtual_links)
         self._vl_index: Dict[str, int] = {
             name: index for index, name in enumerate(vl_order)
@@ -719,9 +696,6 @@ class TrajectoryAnalyzer:
         # ``(Smin_i, Smax_i, packed port Smax)`` — a hit replays the
         # node's batch bases and events bit for bit across sweeps
         self._meet_tree: Dict[PortId, list] = {}
-        self._fast_tree_ports: Dict[str, Tuple[PortId, ...]] = {
-            name: tuple(self._tree_ports(name)) for name in vl_order
-        }
         # per-sweep Smax slices (cleared with the packs each sweep)
         self._port_smax: Dict[PortId, List[float]] = {}
         self._port_smax_np: Dict[PortId, "np.ndarray"] = {}
@@ -729,17 +703,14 @@ class TrajectoryAnalyzer:
         # a walk whose entire Smax input is unchanged since the last
         # sweep is replayed from here without touching the tree
         self._sweep_memo: Dict[str, Tuple[bytes, Dict]] = {}
-        self._cache_counters["sweep_memo"] = [0, 0]
         # per-port structural digests feeding the cross-config
         # ``"traj.node"`` cache namespace (`_port_struct_pack`)
         self._port_struct_packs: Dict[PortId, bytes] = {}
-        if self.incremental:
-            self._cache_counters["node"] = [0, 0]
 
     def export_fast_tables(
         self,
     ) -> Tuple[Dict[str, "np.ndarray"], Dict[PortId, Tuple[int, int]]]:
-        """Flat concatenation of the fast kernel's tables for shm shipping.
+        """Flat concatenation of the competitor tables for shm shipping.
 
         Returns ``(columns, index)``: ``columns`` holds the per-port
         contract columns ``C``/``T``/``G``/``SMIN``/``MUP`` concatenated
@@ -749,10 +720,8 @@ class TrajectoryAnalyzer:
         from these via :meth:`adopt_fast_tables` without re-walking the
         network contracts.
         """
-        if self.kernel != "fast" or not self._prepared:
-            raise RuntimeError(
-                "export_fast_tables needs a prepared fast-kernel analyzer"
-            )
+        if not self._prepared:
+            raise RuntimeError("export_fast_tables needs a prepared analyzer")
         index: Dict[PortId, Tuple[int, int]] = {}
         parts: Dict[str, List["np.ndarray"]] = {
             "C": [], "T": [], "G": [], "SMIN": [], "MUP": []
@@ -789,7 +758,7 @@ class TrajectoryAnalyzer:
         columns: Dict[str, "np.ndarray"],
         index: Dict[PortId, Tuple[int, int]],
     ) -> Dict[FlowPortKey, float]:
-        """Serve the fast kernel's contract columns from shared arrays.
+        """Serve the competitor tables' contract columns from shared arrays.
 
         Must be called before :meth:`prepare`.  Returns the ``Smax``
         seed reconstructed from the exported pack — the key order is
@@ -826,17 +795,6 @@ class TrajectoryAnalyzer:
             self._port_smax_np[port] = arr
         return arr
 
-    def _tree_ports(self, vl_name: str) -> List[PortId]:
-        """One VL's tree ports in the DFS preorder :meth:`_walk_tree` visits."""
-        root, children = self._trees[vl_name]
-        out: List[PortId] = []
-        stack = [root]
-        while stack:
-            port = stack.pop()
-            out.append(port)
-            stack.extend(reversed(children.get(port, ())))
-        return out
-
     def _prepare_walk_fingerprints(self) -> None:
         """Per-VL structural digest + the ``Smax`` slice each walk reads.
 
@@ -849,7 +807,7 @@ class TrajectoryAnalyzer:
         ``_walk_struct_fp`` here — plus the current ``Smax`` values of
         every member at every tree port, hashed per sweep in
         :meth:`sweep_vls`.  Together these cover every input of
-        :meth:`_walk_tree` bit for bit, so equal fingerprints
+        :meth:`_walk_tree_fast` bit for bit, so equal fingerprints
         guarantee an identical walk result.
 
         The ``Smax`` slice is packed *per port* (``_port_pack``), not
@@ -869,16 +827,10 @@ class TrajectoryAnalyzer:
             name: vl_fingerprint(network.vl(name))
             for name in sorted(network.virtual_links)
         }
-        self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {}
         self._walk_struct_fp: Dict[str, bytes] = {}
         for vl_name in sorted(network.virtual_links):
-            # the kernel tag keeps cached walk records (which embed the
-            # kernel-dependent n_candidates) from crossing kernels
-            parts: List[object] = [
-                self.serialization_mode, self.kernel, contracts[vl_name]
-            ]
-            tree_ports = tuple(self._tree_ports(vl_name))
-            for port in tree_ports:
+            parts: List[object] = [self.serialization_mode, contracts[vl_name]]
+            for port in self._walk_tree_ports[vl_name]:
                 members = self._port_vls[port]
                 parts.append(
                     (
@@ -893,7 +845,6 @@ class TrajectoryAnalyzer:
                         tuple(float(self._smin[(m, port)]) for m in members),
                     )
                 )
-            self._walk_tree_ports[vl_name] = tree_ports
             self._walk_struct_fp[vl_name] = stable_digest(
                 "trajwalk", *parts
             ).encode()
@@ -1032,7 +983,6 @@ class TrajectoryAnalyzer:
         bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
         progress = self._obs.progress
         cache = self._walk_cache
-        fast = self.kernel == "fast"
         # the candidate-event memo persists across sweeps on purpose:
         # its keys are the exact fold floats ``(C, T, offset, horizon)``
         # so a stale entry is unreachable, and most offsets survive a
@@ -1042,60 +992,41 @@ class TrajectoryAnalyzer:
         # Smax tightened since the last sweep, and a stale pack would
         # alias two different walk inputs onto one fingerprint
         self._port_packs.clear()
-        if fast:
-            self._port_smax.clear()
-            self._port_smax_np.clear()
+        self._port_smax.clear()
+        self._port_smax_np.clear()
+        memo_counters = self._cache_counters["sweep_memo"]
         for index, vl_name in enumerate(vl_names):
             if progress:
                 progress.update("trajectory.sweep", index, len(vl_names))
-            if fast:
-                # cross-sweep memo: a walk reads only its tree ports'
-                # Smax slices beyond sweep-invariant structure, so an
-                # unchanged packed slice sequence proves the previous
-                # sweep's bounds replay bit for bit
-                memo_counters = self._cache_counters["sweep_memo"]
-                memo_key = b"".join(
-                    self._port_pack(port)
-                    for port in self._fast_tree_ports[vl_name]
-                )
-                memo = self._sweep_memo.get(vl_name)
-                if memo is not None and memo[0] == memo_key:
-                    memo_counters[0] += 1
-                    bounds.update(memo[1])
-                    continue
-                memo_counters[1] += 1
-                local: Dict[FlowPortKey, TrajectoryPathBound] = {}
-                if cache is None:
-                    self._walk_tree_fast(vl_name, local)
-                else:
-                    walk_counters = self._cache_counters["walk"]
-                    fingerprint = self._walk_fingerprint(vl_name)
-                    cached = cache.get("traj.walk", fingerprint)
-                    if cached is not None:
-                        walk_counters[0] += 1
-                        local = cached
-                    else:
-                        walk_counters[1] += 1
-                        self._walk_tree_fast(vl_name, local)
-                        cache.put("traj.walk", fingerprint, local)
-                self._sweep_memo[vl_name] = (memo_key, local)
-                bounds.update(local)
+            # cross-sweep memo: a walk reads only its tree ports' Smax
+            # slices beyond sweep-invariant structure, so an unchanged
+            # packed slice sequence proves the previous sweep's bounds
+            # replay bit for bit
+            memo_key = b"".join(
+                self._port_pack(port) for port in self._walk_tree_ports[vl_name]
+            )
+            memo = self._sweep_memo.get(vl_name)
+            if memo is not None and memo[0] == memo_key:
+                memo_counters[0] += 1
+                bounds.update(memo[1])
                 continue
+            memo_counters[1] += 1
+            local: Dict[FlowPortKey, TrajectoryPathBound] = {}
             if cache is None:
-                self._walk_tree(vl_name, bounds)
-                continue
-            walk_counters = self._cache_counters["walk"]
-            fingerprint = self._walk_fingerprint(vl_name)
-            cached = cache.get("traj.walk", fingerprint)
-            if cached is not None:
-                walk_counters[0] += 1
-                bounds.update(cached)
+                self._walk_tree_fast(vl_name, local)
             else:
-                walk_counters[1] += 1
-                local = {}
-                self._walk_tree(vl_name, local)
-                cache.put("traj.walk", fingerprint, local)
-                bounds.update(local)
+                walk_counters = self._cache_counters["walk"]
+                fingerprint = self._walk_fingerprint(vl_name)
+                cached = cache.get("traj.walk", fingerprint)
+                if cached is not None:
+                    walk_counters[0] += 1
+                    local = cached
+                else:
+                    walk_counters[1] += 1
+                    self._walk_tree_fast(vl_name, local)
+                    cache.put("traj.walk", fingerprint, local)
+            self._sweep_memo[vl_name] = (memo_key, local)
+            bounds.update(local)
         if progress:
             progress.update("trajectory.sweep", len(vl_names), len(vl_names))
         return bounds
@@ -1208,207 +1139,13 @@ class TrajectoryAnalyzer:
         self._horizon_cache[root] = horizon
         return horizon
 
-    def _walk_tree(
-        self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
-    ) -> None:
-        """DFS one VL's tree, maintaining the interference state.
-
-        State carried down the recursion (and rolled back on return):
-
-        * ``competitors`` — ``{name: (C, T, A)}`` for every flow met so
-          far (the studied flow included, with ``A = 0``);
-        * ``base_workload`` — ``sum_j N_j(0) C_j`` over that set;
-        * ``events`` — candidate jump instants ``(t, C)`` inside the
-          source busy period;
-        * per-port serialization groups for the gain bookkeeping.
-        """
-        network = self.network
-        vl = network.vl(vl_name)
-        root, children = self._trees[vl_name]
-
-        own_c = vl.s_max_bits / self._port_rate[root]
-        competitors: Dict[object, Tuple[float, float, float]] = {
-            vl_name: (own_c, vl.bag_us, 0.0)
-        }
-        safe = self.serialization_mode == "safe"
-
-        # ---- root-level quantities -----------------------------------
-        root_added: List[str] = []
-        for other in self._port_vls[root]:
-            if other == vl_name:
-                continue
-            competitors[other] = self._competitor_entry(vl_name, other, root)
-            root_added.append(other)
-
-        horizon = self._root_horizon(root)
-
-        base_workload = 0.0
-        events: List[Tuple[float, float]] = []
-        event_cache = self._event_cache
-        event_counters = self._cache_counters["events"]
-        memo_enabled = self._event_memo_enabled
-
-        def add_flow(entry: Tuple[float, float, float]) -> int:
-            """Fold one flow into the workload state; return #events added."""
-            nonlocal base_workload
-            c, period, offset = entry
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-                base, flow_events = cached
-            else:
-                base, flow_events = _flow_events(c, period, offset, horizon)
-            base_workload += base
-            events.extend(flow_events)
-            return len(flow_events)
-
-        def remove_flow(entry: Tuple[float, float, float]) -> None:
-            nonlocal base_workload
-            c, period, offset = entry
-            base_workload -= interference_count(0.0, offset, period) * c
-
-        add_flow(competitors[vl_name])
-        for name in root_added:
-            add_flow(competitors[name])
-
-        meeting_cache = self._meeting_cache
-        meeting_counters = self._cache_counters["meetings"]
-
-        # ---- recursive descent ---------------------------------------
-        def visit(
-            port: PortId,
-            depth: int,
-            transitions: float,
-            latencies: float,
-            gain: float,
-            n_met: int,
-        ) -> None:
-            latencies += network.node(port[0]).technological_latency_us
-            if depth > 0:
-                transitions += self._port_max_c[port]
-
-            added: Tuple[str, ...] = ()
-            readded: Tuple[str, ...] = ()
-            port_gain = 0.0
-            rollback: List[object] = []
-            added_events = 0
-            if depth > 0:
-                key = (vl_name, port)
-                cached = meeting_cache.get(key)
-                if cached is None:
-                    meeting_counters[1] += 1
-                    cached = self._discover_meetings(vl_name, port, competitors)
-                    meeting_cache[key] = cached
-                else:
-                    meeting_counters[0] += 1
-                added, readded, port_gain = cached
-                for other in added:
-                    entry = self._competitor_entry(vl_name, other, port)
-                    competitors[other] = entry
-                    rollback.append(other)
-                    added_events += add_flow(entry)
-                if safe:
-                    # A re-met competitor's frames can overtake the
-                    # studied packet on the off-path detour, so they may
-                    # interfere again here.  Charge the re-meeting as an
-                    # extra competitor (the first meeting's charge stays
-                    # in place); synthetic keys keep the name-membership
-                    # test in `_discover_meetings` intact.
-                    for other in readded:
-                        entry = self._competitor_entry(vl_name, other, port)
-                        remeet_key = (other, port)
-                        competitors[remeet_key] = entry
-                        rollback.append(remeet_key)
-                        added_events += add_flow(entry)
-                    n_met += len(readded)
-            gain += port_gain
-            n_met += len(added)
-
-            constant = transitions + latencies - gain
-            best, best_t, best_w, n_cand = self._maximize(
-                base_workload, events, constant
-            )
-            bounds[(vl_name, port)] = TrajectoryPathBound(
-                vl_name=vl_name,
-                path_index=-1,  # prefix record; path index filled by analyze()
-                node_path=(),
-                port_ids=(port,),
-                total_us=best,
-                critical_instant_us=best_t,
-                busy_period_us=horizon,
-                workload_us=best_w,
-                transition_us=transitions,
-                latency_us=latencies,
-                serialization_gain_us=gain,
-                n_competitors=n_met,
-                n_candidates=n_cand,
-            )
-
-            for child in children.get(port, ()):
-                visit(child, depth + 1, transitions, latencies, gain, n_met)
-
-            # rollback this port's additions
-            for entry_key in rollback:
-                remove_flow(competitors.pop(entry_key))
-            if added_events:
-                del events[-added_events:]
-
-        visit(root, 0, 0.0, 0.0, 0.0, len(root_added))
-
-    @staticmethod
-    def _maximize(
-        base_workload: float,
-        events: List[Tuple[float, float]],
-        constant: float,
-    ) -> Tuple[float, float, float, int]:
-        """Maximize ``W(t) + constant - t`` over the candidate instants.
-
-        ``W(0) = base_workload``; each event ``(t, C)`` raises the
-        workload by ``C`` at instant ``t``.  Between events the
-        objective strictly decreases, so only ``t = 0`` and the event
-        instants need evaluation.  Returns ``(best value, argmax t,
-        workload at argmax, number of candidates)``.
-        """
-        best_value = base_workload + constant
-        best_t = 0.0
-        best_workload = base_workload
-        n_candidates = 1
-        if not events:
-            return best_value, best_t, best_workload, n_candidates
-
-        workload = base_workload
-        idx = 0
-        ordered = sorted(events)
-        while idx < len(ordered):
-            t = ordered[idx][0]
-            while idx < len(ordered) and ordered[idx][0] <= t + _EPS:
-                workload += ordered[idx][1]
-                idx += 1
-            n_candidates += 1
-            value = workload + constant - t
-            if value > best_value + _EPS:
-                best_value = value
-                best_t = t
-                best_workload = workload
-        return best_value, best_t, best_workload, n_candidates
-
-    # ------------------------------------------------------------------
-    # Fast kernel (kernel="fast"): bit-identical twin of _walk_tree
-    # ------------------------------------------------------------------
-
     def _discover_meetings_fast(
         self, port: PortId, parent: Optional[PortId], metview: "np.ndarray"
     ) -> Tuple:
         """Index form of :meth:`_discover_meetings` over the flat tables.
 
         ``metview`` is the walk's membership bitmap over global VL
-        indices — the exact same set the reference kernel represents
+        indices — the exact same set the reference walk represents
         with its ``competitors`` dict keys (re-met flows enter that dict
         under synthetic tuple keys and therefore never flip a name's
         membership, which is why the bitmap needs no re-meeting marks).
@@ -1503,6 +1240,9 @@ class TrajectoryAnalyzer:
     ) -> None:
         """Flat-table DFS of one VL's tree — bit-identical to the reference.
 
+        The reference is the original dict-based walk, frozen as a test
+        oracle in ``tests/trajectory/reference_kernel.py``.
+
         Every float the reference walk computes is reproduced here by
         the same expression in the same order: the base workload grows
         by sequential ``+=`` of the memoized per-flow bases in the
@@ -1552,41 +1292,29 @@ class TrajectoryAnalyzer:
         base_workload = 0.0
         events: List[Tuple[float, float]] = []
 
+        def flow_events(
+            c: float, period: float, offset: float
+        ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+            """:func:`_flow_events` through the per-analyzer event memo."""
+            if not memo_enabled:
+                return _flow_events(c, period, offset, horizon)
+            key = (c, period, offset, horizon)
+            cached = event_cache.get(key)
+            if cached is None:
+                event_counters[1] += 1
+                cached = _flow_events(c, period, offset, horizon)
+                event_cache[key] = cached
+            else:
+                event_counters[0] += 1
+            return cached
+
         def fold(c: float, period: float, offset: float) -> Tuple[float, int]:
             """Add one flow's base and events; return them for rollback."""
             nonlocal base_workload
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-            else:
-                cached = _flow_events(c, period, offset, horizon)
-            base, flow_events = cached
+            base, flow_ev = flow_events(c, period, offset)
             base_workload += base
-            events.extend(flow_events)
-            return base, len(flow_events)
-
-        def fold_events(c: float, period: float, offset: float) -> int:
-            """Events-only fold for flows whose base came from a batch."""
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-            else:
-                cached = _flow_events(c, period, offset, horizon)
-            flow_events = cached[1]
-            events.extend(flow_events)
-            return len(flow_events)
+            events.extend(flow_ev)
+            return base, len(flow_ev)
 
         # ---- root-level folds (reference order: own flow, then the
         # root port's other members in sorted-member order) -----------
@@ -1648,7 +1376,6 @@ class TrajectoryAnalyzer:
                 n_added, added_idx, readded_idx, port_gain, vec, names = meetings
                 # keep the name-level view in sync: provenance replay
                 # (and tests poking at internals) read `_meeting_cache`
-                # regardless of which kernel ran the sweeps
                 key = (vl_name, port)
                 if key not in meeting_cache:
                     meeting_cache[key] = names
@@ -1699,12 +1426,15 @@ class TrajectoryAnalyzer:
                                 base_workload, folded
                             )
                             event_start = len(events)
+                            # events only: the bases came from the batch
                             for pos in maybe.tolist():
-                                added_events += fold_events(
+                                flow_ev = flow_events(
                                     float(c_a[pos]),
                                     float(t_a[pos]),
                                     float(offs[pos]),
-                                )
+                                )[1]
+                                events.extend(flow_ev)
+                                added_events += len(flow_ev)
                             fold_value = (
                                 folded,
                                 folded_negs,
@@ -1818,7 +1548,7 @@ class TrajectoryAnalyzer:
         events: List[Tuple[float, float]],
         constant: float,
     ) -> Tuple[float, float, float, int]:
-        """:meth:`_maximize` with a proven dominance prune.
+        """The reference candidate scan with a proven dominance prune.
 
         The scan consumes the sorted events exactly like the reference
         (same grouping, same ``+=`` order), so at every group boundary
@@ -1890,7 +1620,6 @@ def analyze_trajectory(
     incremental: bool = False,
     cache=None,
     explain: bool = False,
-    kernel: Optional[str] = None,
 ) -> TrajectoryResult:
     """One-shot convenience wrapper around :class:`TrajectoryAnalyzer`."""
     return TrajectoryAnalyzer(
@@ -1903,5 +1632,4 @@ def analyze_trajectory(
         incremental=incremental,
         cache=cache,
         explain=explain,
-        kernel=kernel,
     ).analyze()

@@ -1,4 +1,4 @@
-"""Busy-period bounds and candidate release instants.
+"""Busy-period bounds and the interference counter.
 
 A *busy period* of an output port is a maximal interval during which
 the port always has a frame to transmit (paper Sec. II-B).  The packet
@@ -16,11 +16,11 @@ jump instants inside ``[0, BP)`` need to be evaluated.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro.errors import ConvergenceError, UnstableNetworkError
 
-__all__ = ["interference_count", "busy_period_bound", "candidate_instants"]
+__all__ = ["interference_count", "busy_period_bound"]
 
 #: Hard cap on fixed-point iterations (a stable port converges far sooner).
 _MAX_ITERATIONS = 10_000
@@ -120,81 +120,3 @@ def busy_period_bound(
         f"busy-period iteration did not converge within {max_iterations} steps"
     )
 
-
-def candidate_instants(
-    competitors: Dict[str, Tuple[float, float, float]],
-    horizon: float,
-) -> List[float]:
-    """Release instants where the trajectory workload can peak.
-
-    Returns ``0`` plus every jump instant ``k * T_j - A_j`` of every
-    competitor counter that falls inside ``(0, horizon)``, sorted and
-    deduplicated.
-
-    Every emitted instant is *canonical*: the smallest float ``t`` at
-    which :func:`interference_count` has actually jumped to ``1 + k``.
-    The raw ``fl(k * T - A)`` rounding can land one ulp to either side
-    of that float — early, and the counter has not jumped yet at the
-    emitted candidate; late, and two flows whose jump instants coincide
-    in exact arithmetic emit floats one ulp apart, evaluating the same
-    candidate twice with values that disagree under re-association.
-    Nudging to the canonical float fixes both, and makes the exact
-    set-based deduplication sufficient.
-    """
-    instants = {0.0}
-    for _c, period, offset in competitors.values():
-        k = math.floor(offset / period) + 1
-        while True:
-            t = k * period - offset
-            if t >= horizon:
-                break
-            if t > 0.0:
-                t = _canonical_jump(k, period, offset)
-                if 0.0 < t < horizon:
-                    instants.add(t)
-            k += 1
-    return sorted(instants)
-
-
-def _canonical_jump(k: int, period: float, offset: float) -> float:
-    """Smallest float ``t`` at which the counter has reached ``1 + k``.
-
-    The raw ``fl(k * period - offset)`` estimate brackets the true jump
-    within a few rounding errors; a float bisection then pins the first
-    ``t`` whose (rounded) ``t + offset`` crosses the exact boundary.
-    Bisection — not ulp-stepping — because under heavy cancellation
-    (``t`` many orders of magnitude below ``offset``) millions of
-    consecutive ``t`` floats can share one ``fl(t + offset)`` value.
-
-    Returns ``0.0`` when the jump happens at or before zero (the caller
-    only keeps instants strictly inside ``(0, horizon)``).
-    """
-    target = 1 + k
-    t = k * period - offset
-    if interference_count(t, offset, period) >= target:
-        step = max(math.ulp(t), math.ulp(offset))
-        lo = t - step
-        while lo > 0.0 and interference_count(lo, offset, period) >= target:
-            step *= 2.0
-            lo = t - step
-        if lo <= 0.0:
-            if interference_count(0.0, offset, period) >= target:
-                return 0.0
-            lo = 0.0
-        hi = t
-    else:
-        step = max(math.ulp(t), math.ulp(t + offset))
-        hi = t + step
-        while interference_count(hi, offset, period) < target:
-            step *= 2.0
-            hi = t + step
-        lo = t
-    # invariant: count(lo) < target <= count(hi); shrink to adjacency
-    while True:
-        mid = lo + (hi - lo) / 2.0
-        if mid <= lo or mid >= hi:
-            return hi
-        if interference_count(mid, offset, period) >= target:
-            hi = mid
-        else:
-            lo = mid

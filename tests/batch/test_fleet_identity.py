@@ -1,7 +1,7 @@
 """Execution-shape identity: the fleet engine's central contract.
 
-Every way of running an analysis — ``jobs`` in {1, 2, 4}, either
-trajectory kernel, cold, through a warm reused :class:`WorkerPool`, or
+Every way of running an analysis — ``jobs`` in {1, 2, 4}, cold,
+through a warm reused :class:`WorkerPool`, or
 against a cold/warm incremental cache — must produce *bit-identical*
 per-path bounds and a *byte-identical* deterministic
 :class:`CostLedger` section.  The committed-scenario sweep lives in
@@ -21,6 +21,7 @@ from repro.batch import BatchAnalyzer, shm
 from repro.batch.pool import WorkerPool
 from repro.configs import fig1_network, random_network
 from repro.obs.costmodel import deterministic_section
+from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
     "total_us",
@@ -32,7 +33,6 @@ FLOAT_FIELDS = (
     "serialization_gain_us",
 )
 
-KERNELS = ("fast", "reference")
 MODES = ("paper", "windowed", "safe")
 
 
@@ -50,39 +50,34 @@ def _ledger_bytes(result):
     ).encode()
 
 
-def _trajectory(network, mode, kernel, **kwargs):
+def _trajectory(network, mode, **kwargs):
     return BatchAnalyzer(
-        network,
-        serialization=mode,
-        collect_stats=True,
-        trajectory_kernel=kernel,
-        **kwargs,
+        network, serialization=mode, collect_stats=True, **kwargs
     ).trajectory()
 
 
 class TestShapeCrossProduct:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_every_shape_bit_identical(self, kernel, tmp_path):
+    def test_every_shape_bit_identical(self, tmp_path):
         network = fig1_network()
-        baseline = _trajectory(network, "safe", kernel, jobs=1)
+        baseline = _trajectory(network, "safe", jobs=1)
         bounds, ledger = _bounds(baseline), _ledger_bytes(baseline)
 
         shaped = []
         for jobs in (2, 4):
-            shaped.append((f"jobs={jobs}", _trajectory(network, "safe", kernel, jobs=jobs)))
+            shaped.append((f"jobs={jobs}", _trajectory(network, "safe", jobs=jobs)))
         with WorkerPool(2, None) as pool:
             for round_ in (1, 2):
                 shaped.append(
                     (
                         f"warm pool round {round_}",
-                        _trajectory(network, "safe", kernel, jobs=2, pool=pool),
+                        _trajectory(network, "safe", jobs=2, pool=pool),
                     )
                 )
         shaped.append(
             (
                 "cold cache",
                 _trajectory(
-                    network, "safe", kernel, jobs=1,
+                    network, "safe", jobs=1,
                     incremental=True, cache_dir=str(tmp_path),
                 ),
             )
@@ -91,16 +86,16 @@ class TestShapeCrossProduct:
             (
                 "warm cache",
                 _trajectory(
-                    network, "safe", kernel, jobs=1,
+                    network, "safe", jobs=1,
                     incremental=True, cache_dir=str(tmp_path),
                 ),
             )
         )
 
         for label, result in shaped:
-            assert _bounds(result) == bounds, f"{kernel}: bounds drifted under {label}"
+            assert _bounds(result) == bounds, f"bounds drifted under {label}"
             assert _ledger_bytes(result) == ledger, (
-                f"{kernel}: ledger section not byte-identical under {label}"
+                f"ledger section not byte-identical under {label}"
             )
         assert shm.active_owned() == []
 
@@ -144,14 +139,13 @@ class TestRandomizedShapes:
         network = random_network(
             seed, n_switches=3, n_end_systems=6, n_virtual_links=6
         )
-        sequential = _trajectory(network, mode, "fast", jobs=1)
-        pooled = _trajectory(
-            network, mode, "fast", jobs=2, pool=_shared_pool()
-        )
-        reference = _trajectory(network, mode, "reference", jobs=1)
+        sequential = _trajectory(network, mode, jobs=1)
+        pooled = _trajectory(network, mode, jobs=2, pool=_shared_pool())
+        reference = ReferenceTrajectoryAnalyzer(
+            network, serialization=mode
+        ).analyze()
 
         assert _bounds(pooled) == _bounds(sequential)
         assert _ledger_bytes(pooled) == _ledger_bytes(sequential)
-        # cross-kernel: bounds exact; ledgers agree modulo the
-        # prune-dependent candidate counters (dropped by the scrub)
+        # against the frozen oracle: bounds exact
         assert _bounds(reference) == _bounds(sequential)

@@ -1,6 +1,6 @@
 """The ``traj.node`` namespace: cross-config fold memoization.
 
-The fast kernel's batched busy-period folds are content-addressed by a
+The trajectory walk's batched busy-period folds are content-addressed by a
 chained per-port structural digest plus the sweep-varying floats and
 the port's packed ``Smax`` slice, so a structurally identical subpath
 in a *different* configuration (or process) hits through the disk
@@ -32,9 +32,7 @@ def _variant(network):
 
 
 def _analyze(network, cache):
-    analyzer = TrajectoryAnalyzer(
-        network, serialization="safe", kernel="fast", cache=cache
-    )
+    analyzer = TrajectoryAnalyzer(network, serialization="safe", cache=cache)
     return analyzer, analyzer.analyze()
 
 
@@ -59,12 +57,12 @@ class TestNodeNamespace:
         hits, _misses = analyzer.cache_stats()["node"]
         assert hits > 0, "no cross-config fold reuse on untouched subtrees"
 
-        plain = analyze_trajectory(sibling, serialization="safe", kernel="fast")
+        plain = analyze_trajectory(sibling, serialization="safe")
         assert set(plain.paths) == set(cached.paths)
         for key in plain.paths:
             assert plain.paths[key].total_us == cached.paths[key].total_us, key
 
     def test_not_engaged_outside_incremental_mode(self):
-        analyzer = TrajectoryAnalyzer(_network(), serialization="safe", kernel="fast")
+        analyzer = TrajectoryAnalyzer(_network(), serialization="safe")
         analyzer.analyze()
         assert "node" not in analyzer.cache_stats()

@@ -302,7 +302,7 @@ def test_profile_does_not_change_bounds(fig2_json, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Shared observability flag group (the _obs_parent() invariant)
+# Shared flag groups (the _obs_parent() / _analysis_parent() invariant)
 # ----------------------------------------------------------------------
 
 
@@ -312,7 +312,7 @@ def test_every_subcommand_carries_the_obs_flag_group():
     # --profile; this walks every subparser so that cannot land silently
     import argparse
 
-    from repro.cli import OBS_FLAG_DESTS
+    from repro.cli import ANALYSIS_FLAG_DESTS, OBS_FLAG_DESTS
 
     parser = build_parser()
     subparsers = next(
@@ -321,10 +321,19 @@ def test_every_subcommand_carries_the_obs_flag_group():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert subparsers.choices  # sanity: there are subcommands to check
-    for name, subparser in subparsers.choices.items():
-        dests = {action.dest for action in subparser._actions}
-        missing = set(OBS_FLAG_DESTS) - dests
-        assert not missing, f"subcommand {name!r} lacks obs flags {sorted(missing)}"
+    # (group, its dests, the subcommands that must inherit it); the
+    # analysis group (_analysis_parent()) covers the analyzing commands
+    groups = (
+        ("obs", OBS_FLAG_DESTS, sorted(subparsers.choices)),
+        ("analysis", ANALYSIS_FLAG_DESTS, ["analyze", "explain", "profile", "whatif"]),
+    )
+    for label, flag_dests, names in groups:
+        for name in names:
+            dests = {action.dest for action in subparsers.choices[name]._actions}
+            missing = set(flag_dests) - dests
+            assert not missing, (
+                f"subcommand {name!r} lacks {label} flags {sorted(missing)}"
+            )
 
 
 def test_profile_flag_on_simulate_and_whatif(fig2_json, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Busy-period fixed points and candidate instants."""
+"""Busy-period fixed points and the interference counter."""
 
 import math
 from fractions import Fraction
@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnstableNetworkError
-from repro.trajectory.busy_period import (
-    busy_period_bound,
-    candidate_instants,
-    interference_count,
-)
+from repro.trajectory.busy_period import busy_period_bound, interference_count
 
 
 def _exact_count(t: float, offset: float, period: float) -> int:
@@ -148,81 +144,3 @@ class TestBusyPeriod:
         jittered = busy_period_bound([(40.0, 4000.0, 0.0), (40.0, 4000.0, 4500.0)])
         assert jittered > base
 
-
-class TestCandidates:
-    def test_zero_always_candidate(self):
-        assert candidate_instants({}, 100.0) == [0.0]
-
-    def test_jump_points_inside_horizon(self):
-        competitors = {"v": (40.0, 50.0, 0.0)}
-        instants = candidate_instants(competitors, 120.0)
-        assert instants == [0.0, 50.0, 100.0]
-
-    def test_offset_shifts_jumps(self):
-        competitors = {"v": (40.0, 100.0, 30.0)}
-        assert candidate_instants(competitors, 200.0) == [0.0, 70.0, 170.0]
-
-    def test_negative_offset(self):
-        competitors = {"v": (40.0, 100.0, -30.0)}
-        # counter jumps from 0 to 1 at t = 30
-        assert candidate_instants(competitors, 100.0) == [0.0, 30.0]
-
-    def test_horizon_excludes_boundary(self):
-        competitors = {"v": (40.0, 100.0, 0.0)}
-        assert candidate_instants(competitors, 100.0) == [0.0]
-
-    def test_deduplication(self):
-        competitors = {"a": (1.0, 50.0, 0.0), "b": (2.0, 50.0, 0.0)}
-        assert candidate_instants(competitors, 60.0) == [0.0, 50.0]
-
-
-class TestCandidateInstantsExactness:
-    """Emitted instants are canonical jump floats, deduped exactly."""
-
-    def test_float_noise_duplicates_collapse(self):
-        # same exact jump instants reached through different roundings:
-        # period 0.1 with offset 0 vs offset 0.1 * k shifted by one
-        # period — in real arithmetic the instants coincide, and after
-        # canonicalization the floats do too
-        competitors = {
-            "a": (1.0, 0.1, 0.0),
-            "b": (1.0, 0.1, 0.1),
-        }
-        instants = candidate_instants(competitors, 1.0)
-        assert len(instants) == len(set(instants))
-        for earlier, later in zip(instants, instants[1:]):
-            # no two instants within one ulp of each other
-            assert math.nextafter(earlier, math.inf) <= later
-
-    @given(
-        flows=st.lists(
-            st.tuples(
-                st.floats(min_value=0.1, max_value=100.0),   # C
-                st.floats(min_value=1.0, max_value=500.0),   # T
-                st.floats(min_value=-50.0, max_value=500.0), # A
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        horizon=st.floats(min_value=1.0, max_value=500.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_property_instants_are_true_counter_jumps(self, flows, horizon):
-        competitors = {f"v{i}": flow for i, flow in enumerate(flows)}
-        instants = candidate_instants(competitors, horizon)
-        assert instants[0] == 0.0
-        assert instants == sorted(set(instants))  # exact-dedup, sorted
-        for t in instants[1:]:
-            assert 0.0 < t < horizon
-            below = math.nextafter(t, -math.inf)
-            total_at = sum(
-                interference_count(t, a, period)
-                for _c, period, a in competitors.values()
-            )
-            total_below = sum(
-                interference_count(below, a, period)
-                for _c, period, a in competitors.values()
-            )
-            # t is a jump instant of the aggregate counter, and it is
-            # canonical: one float earlier the jump has not happened
-            assert total_at > total_below

@@ -1,8 +1,9 @@
-"""Fast-kernel equivalence: bit-identical bounds vs the reference walk.
+"""Trajectory walk equivalence: bit-identical bounds vs the frozen oracle.
 
-The ``fast`` trajectory kernel (flat competitor tables, batched folds,
+The library's trajectory walk (flat competitor tables, batched folds,
 shared-subpath memoization, dominance pruning — docs/PERFORMANCE.md)
-promises *exactly* the reference kernel's floats, not merely close
+promises *exactly* the floats of the original dict-based walk, kept
+frozen in :mod:`tests.trajectory.reference_kernel`, not merely close
 ones.  These tests enforce that promise on randomized topologies under
 hypothesis and on a seeded 1000-VL industrial configuration; the
 committed-scenario sweep (including ``--jobs`` and incremental-cache
@@ -14,7 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.configs import fig1_network, fig2_network, random_network
+from repro.incremental.cache import BoundCache
 from repro.trajectory import analyze_trajectory
+from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
     "total_us",
@@ -30,10 +33,10 @@ MODES = ("paper", "windowed", "safe")
 
 
 def assert_kernels_identical(network, serialization):
-    reference = analyze_trajectory(
-        network, serialization=serialization, kernel="reference"
-    )
-    fast = analyze_trajectory(network, serialization=serialization, kernel="fast")
+    reference = ReferenceTrajectoryAnalyzer(
+        network, serialization=serialization
+    ).analyze()
+    fast = analyze_trajectory(network, serialization=serialization)
     assert set(reference.paths) == set(fast.paths)
     for key in reference.paths:
         ref, got = reference.paths[key], fast.paths[key]
@@ -43,6 +46,16 @@ def assert_kernels_identical(network, serialization):
         # the dominance prune may only ever *skip* candidates
         assert got.n_candidates <= ref.n_candidates, key
     return reference, fast
+
+
+class TestOracle:
+    def test_refuses_incremental_and_cache(self):
+        """An oracle result must never enter a BoundCache."""
+        network = fig1_network()
+        with pytest.raises(ValueError, match="BoundCache"):
+            ReferenceTrajectoryAnalyzer(network, incremental=True)
+        with pytest.raises(ValueError, match="BoundCache"):
+            ReferenceTrajectoryAnalyzer(network, cache=BoundCache())
 
 
 class TestPaperConfigs:
@@ -76,15 +89,13 @@ class TestRandomConfigs:
         assert_kernels_identical(network, mode)
 
     def test_refinement_disabled(self):
-        """Kernels must also agree on the unrefined single sweep."""
+        """The walks must also agree on the unrefined single sweep."""
         network = random_network(42, n_virtual_links=8)
         for mode in MODES:
-            reference = analyze_trajectory(
-                network, serialization=mode, refine_smax=False, kernel="reference"
-            )
-            fast = analyze_trajectory(
-                network, serialization=mode, refine_smax=False, kernel="fast"
-            )
+            reference = ReferenceTrajectoryAnalyzer(
+                network, serialization=mode, refine_smax=False
+            ).analyze()
+            fast = analyze_trajectory(network, serialization=mode, refine_smax=False)
             for key in reference.paths:
                 assert (
                     reference.paths[key].total_us == fast.paths[key].total_us
@@ -94,11 +105,10 @@ class TestRandomConfigs:
 @pytest.mark.slow
 class TestAtScale:
     def test_thousand_vl_smoke(self):
-        """Seeded 1000-VL industrial configuration, fast kernel.
+        """Seeded 1000-VL industrial configuration.
 
-        Reference-kernel bit-identity at this size is covered (slowly)
-        by the benchmark equivalence run; here we assert the fast
-        kernel completes with sound-looking bounds for every path, and
+        Oracle bit-identity at this size is too slow for the suite;
+        here we assert the walk completes with sound-looking bounds for every path, and
         that the ``--jobs 4`` warm-pool execution shape reproduces the
         sequential floats exactly (the fleet engine's contract at the
         scale the paper targets).
@@ -111,7 +121,7 @@ class TestAtScale:
         )
 
         network = industrial_network(IndustrialConfigSpec(n_virtual_links=1000))
-        result = analyze_trajectory(network, serialization="windowed", kernel="fast")
+        result = analyze_trajectory(network, serialization="windowed")
         assert len(result.paths) == len(network.flow_paths())
         for key, bound in result.paths.items():
             assert bound.total_us > 0.0, key
@@ -119,8 +129,7 @@ class TestAtScale:
 
         with WorkerPool(4, None) as pool:
             parallel = BatchAnalyzer(
-                network, jobs=4, serialization="windowed",
-                trajectory_kernel="fast", pool=pool,
+                network, jobs=4, serialization="windowed", pool=pool,
             ).trajectory()
         assert set(parallel.paths) == set(result.paths)
         for key in result.paths:
