@@ -6,10 +6,8 @@ the result of a cold full analysis of the same configuration:
 
 1. a chained :class:`~repro.incremental.delta.DeltaAnalyzer` with a
    disk-backed cache, compared against cold NC + trajectory per step;
-2. the final configuration through ``BatchAnalyzer(jobs=2)`` sharing
-   the (now warm) ``--cache-dir``;
-3. a fresh engine on the same directory replaying the whole scenario
-   warm (the interactive "reopen the tool" path).
+2. a fresh engine on the same (now warm) directory replaying the whole
+   scenario warm (the interactive "reopen the tool" path).
 
 Any mismatch prints the offending step and exits non-zero.
 """
@@ -21,7 +19,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.batch import BatchAnalyzer  # noqa: E402
 from repro.configs.random_topology import random_network  # noqa: E402
 from repro.incremental import DeltaAnalyzer  # noqa: E402
 from repro.incremental.edits import (  # noqa: E402
@@ -92,12 +89,6 @@ def _run(cache_dir):
     final = engine.network
     cold_nc = analyze_network_calculus(final)
     cold_tr = analyze_trajectory(final)
-
-    # the pooled path through the same warm cache directory
-    batch = BatchAnalyzer(final, jobs=2, incremental=True, cache_dir=cache_dir)
-    _expect("batch jobs=2", "NC paths", batch.network_calculus().paths, cold_nc.paths)
-    _expect("batch jobs=2", "trajectory paths", batch.trajectory().paths, cold_tr.paths)
-    print("  batch --jobs 2 over the warm cache dir bit-identical")
 
     # a fresh engine replays the whole scenario from disk
     warm = DeltaAnalyzer(

@@ -12,24 +12,17 @@ the paper's per-candidate walk.  The contract is Zippo & Stea's:
    oracle's **exactly** — every float field and the competitor count;
    only ``n_candidates`` may be *smaller* (the dominance prune skips
    candidates it proves cannot win).
-2. The analyzer is self-consistent across execution shapes:
-   ``--jobs 1`` vs ``--jobs 2`` and cold vs warm incremental cache all
-   yield bit-identical paths and byte-identical deterministic
-   :class:`CostLedger` sections.
+2. The analyzer is self-consistent across cache states: no cache, a
+   cold and a warm incremental cache all yield bit-identical paths and
+   byte-identical deterministic :class:`CostLedger` sections.
 3. Against the oracle the deterministic ledger sections agree after
    the candidate-evaluation counters (the only prune-dependent
    numbers) are dropped.
 
-Any violation prints the offending scenario and exits non-zero.
-
-``--jobs N`` sets the parallel execution shape (default 2); with
-``--warm-pool`` a single :class:`WorkerPool` is created once and
-reused across every scenario (payload epochs), proving the warm-pool
-fleet mode is as bit-exact as fresh pools.  Either way the gate ends
-by asserting no shared-memory segment leaked.
+Any violation prints the offending scenario and exits non-zero.  The
+gate ends by asserting no shared-memory segment leaked.
 """
 
-import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -38,16 +31,16 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT))  # the oracle lives under tests/
 
-from repro.batch import BatchAnalyzer  # noqa: E402
 from repro.batch import shm  # noqa: E402
-from repro.batch.pool import WorkerPool  # noqa: E402
 from repro.configs import fig1_network, fig2_network  # noqa: E402
 from repro.configs.industrial import (  # noqa: E402
     IndustrialConfigSpec,
     industrial_network,
 )
 from repro.configs.random_topology import random_network  # noqa: E402
+from repro.incremental.cache import BoundCache  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
+from repro.trajectory.analyzer import analyze_trajectory  # noqa: E402
 from tests.trajectory.reference_kernel import (  # noqa: E402
     ReferenceTrajectoryAnalyzer,
 )
@@ -133,69 +126,40 @@ def _ledger_section(result):
     return deterministic_section(result.stats["cost"])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="trajectory kernel gate")
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker count for the parallel execution shape (default 2)",
-    )
-    parser.add_argument(
-        "--warm-pool", action="store_true",
-        help="reuse one WorkerPool across every scenario (payload epochs)",
-    )
-    args = parser.parse_args(argv)
-
-    pool = WorkerPool(args.jobs, None) if args.warm_pool else None
-    try:
-        _run_scenarios(args.jobs, pool)
-    finally:
-        if pool is not None:
-            pool.close()
+def main():
+    _run_scenarios()
     leaked = shm.active_owned()
     if leaked:
         print(f"kernel gate FAILED: leaked shared-memory segments {leaked}")
         sys.exit(1)
-    shape = f"jobs={args.jobs}" + (" warm pool" if args.warm_pool else "")
-    print(f"kernel gate OK ({shape}, no shm segments leaked)")
+    print("kernel gate OK (no shm segments leaked)")
 
 
-def _run_scenarios(jobs, pool):
+def _run_scenarios():
     for scenario, network, mode in _scenarios():
         reference = ReferenceTrajectoryAnalyzer(
             network, serialization=mode, collect_stats=True
         ).analyze()
 
-        fast_j1 = BatchAnalyzer(
-            network, jobs=1, serialization=mode, collect_stats=True,
-        ).trajectory()
-        _check_paths(scenario, "fast jobs=1 vs reference", reference, fast_j1)
-
-        fast_jn = BatchAnalyzer(
-            network, jobs=jobs, serialization=mode, collect_stats=True,
-            pool=pool,
-        ).trajectory()
-        _check_paths(scenario, f"fast jobs={jobs} vs reference", reference, fast_jn)
+        fast = analyze_trajectory(network, serialization=mode, collect_stats=True)
+        _check_paths(scenario, "fast vs reference", reference, fast)
 
         with tempfile.TemporaryDirectory(prefix="afdx-kernel-gate-") as cache:
-            cold = BatchAnalyzer(
-                network, jobs=1, serialization=mode, collect_stats=True,
-                incremental=True, cache_dir=cache,
-            ).trajectory()
+            cold = analyze_trajectory(
+                network, serialization=mode, collect_stats=True,
+                cache=BoundCache(cache_dir=cache),
+            )
             _check_paths(scenario, "fast cold cache vs reference", reference, cold)
-            warm = BatchAnalyzer(
-                network, jobs=1, serialization=mode, collect_stats=True,
-                incremental=True, cache_dir=cache,
-            ).trajectory()
+            warm = analyze_trajectory(
+                network, serialization=mode, collect_stats=True,
+                cache=BoundCache(cache_dir=cache),
+            )
             _check_paths(scenario, "fast warm cache vs reference", reference, warm)
 
         # deterministic ledger sections: byte-identical across every
-        # fast execution shape...
-        section = _ledger_section(fast_j1)
-        for label, result in (
-            (f"jobs={jobs}", fast_jn),
-            ("cold cache", cold),
-            ("warm cache", warm),
-        ):
+        # cache state...
+        section = _ledger_section(fast)
+        for label, result in (("cold cache", cold), ("warm cache", warm)):
             if _ledger_section(result) != section:
                 _fail(scenario, f"fast ledger section drifted under {label}")
         # ...and equal to the oracle's once the prune-dependent
@@ -207,12 +171,12 @@ def _run_scenarios(jobs, pool):
                             "beyond candidate evaluations")
 
         pruned = sum(
-            reference.paths[key].n_candidates - fast_j1.paths[key].n_candidates
+            reference.paths[key].n_candidates - fast.paths[key].n_candidates
             for key in reference.paths
         )
         print(
             f"  {scenario}: {len(reference.paths)} paths bit-identical "
-            f"(4 fast shapes), ledgers agree, {pruned} candidates pruned"
+            f"(3 cache states), ledgers agree, {pruned} candidates pruned"
         )
 
 

@@ -1,19 +1,15 @@
-"""Parallel batch-analysis engine.
+"""Whole-configuration fan-out over many configurations.
 
-Fans the repository's three analyses — Network Calculus, Trajectory and
-the combined approach — across a :mod:`multiprocessing` pool while
-guaranteeing results bit-identical to the sequential analyzers, and
-provides the ``batch_sweep`` soundness-fuzzing harness that analyzes
-and simulates many seeded random configurations hunting for
-``simulated > bound`` violations (the regression class behind the
-``random_network(589)`` bug).
+One configuration is always analyzed by the sequential analyzers; the
+parallel grain is the configuration itself.  The package provides the
+``batch_sweep`` soundness-fuzzing harness that analyzes and simulates
+many seeded random configurations hunting for ``simulated > bound``
+violations (the regression class behind the ``random_network(589)``
+bug), and the corpus throughput driver.
 
 Entry points
 ------------
 
-:class:`BatchAnalyzer`
-    ``network_calculus()`` / ``trajectory()`` / ``combined()`` with a
-    ``jobs`` knob; ``jobs=1`` delegates to the sequential analyzers.
 :func:`batch_sweep`
     Whole-configuration fan-out over seeded ``random_network`` configs,
     each analyzed and simulated, returning a violation report.
@@ -25,7 +21,6 @@ Entry points
 See ``docs/BATCH.md`` for the design and the cache-sharing model.
 """
 
-from repro.batch.analyzer import BatchAnalyzer
 from repro.batch.corpus import (
     CorpusReport,
     CorpusSpec,
@@ -48,7 +43,6 @@ from repro.batch.sweep import (
 )
 
 __all__ = [
-    "BatchAnalyzer",
     "LANE_BASE",
     "WorkerPool",
     "chunked",

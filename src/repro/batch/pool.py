@@ -8,18 +8,16 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
   the payload travels through shared memory (or the ``spawn``
   initializer) instead.  Either way the payload is delivered exactly
   once per worker per epoch, not once per task.
-* **persistent per-worker state** — the initializer parks the payload
-  in a module global; task functions lazily build whatever expensive
-  state they need from it (a prepared analyzer, cached port-flow sets)
-  and reuse it across every task the worker receives.
+* **per-worker payload** — the initializer parks the payload in a
+  module global that task functions read with :func:`worker_payload`.
 * **warm reuse across configs** — :meth:`WorkerPool.set_payload` swaps
   the payload without restarting the workers.  Each swap starts a new
   *epoch*: the payload is pickled once into a shared-memory segment
   (:mod:`repro.batch.shm`), every task carries the epoch tag, and a
-  worker seeing a newer tag reloads the payload and drops its
-  epoch-scoped state while keeping the *persistent* state
-  (:func:`worker_persistent`) — per-worker bound caches survive config
-  switches, which is what makes a corpus sweep warm.
+  worker seeing a newer tag reloads the payload while keeping its
+  *persistent* state (:func:`worker_persistent`) — per-worker bound
+  caches survive config switches, which is what makes a corpus sweep
+  warm.
 * **ordered results** — ``map()`` returns results in task-submission
   order regardless of which worker finished first, so merging is
   deterministic by construction.
@@ -28,8 +26,9 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
   unchanged in the coordinator, where the CLI's existing handler maps
   it to exit codes 3/4/5.
 
-The pool deliberately exposes only what the batch engine needs; it is
-not a general task framework.
+The pool deliberately exposes only what whole-configuration fan-out
+(:mod:`repro.batch.sweep`, :mod:`repro.batch.corpus`) needs; it is not
+a general task framework.
 """
 
 from __future__ import annotations
@@ -51,24 +50,18 @@ __all__ = [
     "worker_lane",
     "worker_payload",
     "worker_persistent",
-    "worker_state",
 ]
 
 T = TypeVar("T")
 
 _LOG = get_logger("batch")
 
-#: First worker-lane id.  Must match the Chrome-trace export's
-#: synthetic worker tid base (``repro.obs.tracefile._WORKER_TID_BASE``)
-#: so a ``[w101]`` log line, a lane-101 telemetry event and the tid-101
-#: trace lane all name the same worker slot.
+#: First worker-lane id, so a ``[w101]`` log line and a lane-101
+#: telemetry event name the same worker slot.
 LANE_BASE = 100
 
 #: Payload slot filled by :func:`_init_worker` in every pool process.
 _WORKER_PAYLOAD: Optional[Any] = None
-#: Lazily-built per-worker state, keyed by task family (see ``worker_state``).
-#: Cleared on every payload epoch — it derives from the payload.
-_WORKER_STATE: dict = {}
 #: Per-worker state that *survives* payload epochs (bound caches keyed
 #: by cache directory); cleared only when the worker process dies.
 _WORKER_PERSISTENT: dict = {}
@@ -93,7 +86,6 @@ def _init_worker(
     global _WORKER_PAYLOAD, _WORKER_EPOCH, _WORKER_LANE, _WORKER_TELEMETRY
     _WORKER_PAYLOAD = _load_payload_ref(ref)
     _WORKER_EPOCH = epoch
-    _WORKER_STATE.clear()
     _WORKER_PERSISTENT.clear()
     if lane_counter is not None:
         # first-come lane claim: each pool process takes the next slot
@@ -155,7 +147,6 @@ def _ensure_epoch(epoch: int, ref: Any) -> None:
     if ref is not None:
         _WORKER_PAYLOAD = _load_payload_ref(ref)
     _WORKER_EPOCH = epoch
-    _WORKER_STATE.clear()
 
 
 def _run_task(wrapped: Tuple[int, Any, Callable[[Any], T], Any]) -> T:
@@ -167,20 +158,6 @@ def _run_task(wrapped: Tuple[int, Any, Callable[[Any], T], Any]) -> T:
 def worker_payload() -> Any:
     """The payload the coordinator shipped to this worker process."""
     return _WORKER_PAYLOAD
-
-
-def worker_state(key: str, build: Callable[[Any], T]) -> T:
-    """Per-worker memo: build once from the payload, reuse per task.
-
-    Scoped to the payload *epoch* — a :meth:`WorkerPool.set_payload`
-    swap clears it, since it derives from the payload.
-    """
-    try:
-        return _WORKER_STATE[key]
-    except KeyError:
-        state = build(_WORKER_PAYLOAD)
-        _WORKER_STATE[key] = state
-        return state
 
 
 def worker_persistent(key: str, build: Callable[[], T]) -> T:
@@ -237,13 +214,11 @@ class WorkerPool:
     payload:
         Arbitrary picklable object delivered once to each worker via
         the pool initializer; task functions read it back with
-        :func:`worker_payload` / :func:`worker_state`.
-    use_shm:
-        Ship payload epochs through :mod:`repro.batch.shm` (default)
-        so a :meth:`set_payload` swap costs one pickle total instead of
-        one per worker.  When shared memory is unavailable the swap
-        falls back to restarting the pool processes (correct, but the
-        per-worker epoch-scoped state is rebuilt).
+        :func:`worker_payload`.  Payload epochs travel through
+        :mod:`repro.batch.shm`, so a :meth:`set_payload` swap costs one
+        pickle total instead of one per worker; when shared memory is
+        unavailable the swap falls back to restarting the pool
+        processes.
     telemetry:
         Open a telemetry queue from the workers back to the
         coordinator: task functions may then call :func:`worker_emit`
@@ -258,7 +233,6 @@ class WorkerPool:
         jobs: int,
         payload: Any,
         *,
-        use_shm: bool = True,
         telemetry: bool = False,
     ) -> None:
         if jobs < 2:
@@ -271,7 +245,8 @@ class WorkerPool:
                 "worker pool start method %s",
                 kv(start_method=self.start_method, jobs=jobs, fork_available=False),
             )
-        self.use_shm = use_shm
+        #: cleared for good on the first ``ShmUnavailable``
+        self._shm_ok = True
         self._epoch = 0
         self._payload: Any = payload
         #: segment holding the *current* epoch's pickled payload; built
@@ -310,19 +285,19 @@ class WorkerPool:
         self._payload = payload
         old_spec = self._payload_spec
         self._payload_spec = None
-        if self.use_shm:
+        if self._shm_ok:
             try:
                 self._payload_spec = _shm.put_pickled(payload)
             except _shm.ShmUnavailable as exc:
                 _LOG.info(
                     "shared memory unavailable, restarting pool per epoch: %s", exc
                 )
-                self.use_shm = False
+                self._shm_ok = False
         if self._payload_spec is None:
             # fallback: re-deliver through the initializer; workers are
-            # replaced, so epoch-scoped state rebuilds (persistent
-            # per-worker state is lost too — the disk cache tier covers
-            # cross-config reuse on such platforms)
+            # replaced, so persistent per-worker state is lost — the
+            # disk cache tier covers cross-config reuse on such
+            # platforms
             self._pool.terminate()
             self._pool.join()
             with self._lane_counter.get_lock():

@@ -42,11 +42,11 @@ Subcommands
     and a clean configuration's bounds are bit-identical with or
     without the flag.
 
-``analyze``, ``experiment``, ``batch-sweep`` and ``explain`` accept
-``--jobs N`` to fan the analysis across N worker processes
-(``repro.batch``); results are bit-identical to the sequential
-``--jobs 1`` default.  ``analyze``, ``batch-sweep``, ``whatif`` and
-``explain`` accept ``--cache-dir DIR`` to persist the
+``batch-sweep`` accepts ``--jobs N`` to fan whole configurations
+across N worker processes (``repro.batch``); results are bit-identical
+to the sequential ``--jobs 1`` default.  One configuration is always
+analyzed sequentially.  ``analyze``, ``profile``, ``batch-sweep``,
+``whatif`` and ``explain`` accept ``--cache-dir DIR`` to persist the
 content-addressed bound cache across invocations.
 
 Observability (every subcommand)
@@ -95,7 +95,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro.batch import BatchAnalyzer, SweepSpec, batch_sweep
+from repro.batch import SweepSpec, batch_sweep
 from repro.configs import (
     IndustrialConfigSpec,
     fig1_network,
@@ -128,7 +128,6 @@ from repro.obs.manifest import bound_summary
 from repro.obs.trace import ProgressHook
 from repro.sim.scenarios import TrafficScenario, simulate
 from repro.trajectory.analyzer import analyze_trajectory
-from repro.trajectory.timing import seed_smax_from_netcalc
 
 __all__ = [
     "main",
@@ -170,7 +169,7 @@ ANALYSIS_FLAG_DESTS = ("no_grouping", "serialization")
 #: They land in the run-history record's volatile ``execution``
 #: section, never its deterministic ``options`` core — the core must be
 #: byte-stable across ``--jobs`` and cache states.
-_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "no_shm"))
+_EXECUTION_ARGS = frozenset(("jobs", "cache_dir"))
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -280,19 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the per-path jitter bound (bound - uncontended floor)",
     )
     analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); "
-        "results are bit-identical for any N",
-    )
-    analyze.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
         "(bit-identical results, repeat runs reuse cached per-port work)",
-    )
-    analyze.add_argument(
-        "--no-shm", action="store_true",
-        help="ship worker state by fork/pickle instead of shared-memory "
-        "segments (bit-identical; diagnostic escape hatch)",
     )
     analyze.add_argument(
         "--preflight", action="store_true",
@@ -325,19 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to PATH instead of stdout",
     )
     profile_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); the "
-        "deterministic counter sections are identical for any N",
-    )
-    profile_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
         "(cache hits appear as explicit ledger entries)",
-    )
-    profile_cmd.add_argument(
-        "--no-shm", action="store_true",
-        help="ship worker state by fork/pickle instead of shared-memory "
-        "segments (bit-identical; diagnostic escape hatch)",
     )
 
     validate = sub.add_parser("validate", parents=[obs], help="check a configuration")
@@ -386,11 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--csv", default=None, metavar="FILE",
         help="also write the artefact as CSV",
-    )
-    experiment.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the industrial-config experiments "
-        "(table1, fig5, fig6); bit-identical for any N",
     )
 
     sweep = sub.add_parser(
@@ -473,11 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=0, metavar="N",
         help="detail only the N paths with the largest |gap| "
         "(the summary always covers every path)",
-    )
-    explain.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); "
-        "output is byte-identical for any N",
     )
     explain.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -653,7 +622,7 @@ def _history_options(args: argparse.Namespace) -> Dict[str, object]:
     """Manifest options minus execution shape.
 
     The run-history record splits a deterministic core from a volatile
-    shell; ``jobs``/``cache_dir``/``no_shm`` only
+    shell; ``jobs``/``cache_dir`` only
     change *how* bounds are computed, never their bytes, so they live
     in the record's ``execution`` section instead of here.
     """
@@ -699,30 +668,40 @@ def _run_preflight(network, source: str, ctx: _RunContext) -> None:
         raise ConfigurationError(f"preflight {first.rule_id}: {first.message}")
 
 
+def _run_analyzers(args: argparse.Namespace, network, collect_stats: bool, progress):
+    """Both analyzers on one configuration, sharing one bound cache.
+
+    ``--cache-dir`` opens a single :class:`BoundCache` that serves the
+    NC run, the trajectory's NC seed and the trajectory walks.
+    """
+    cache = None
+    if args.cache_dir is not None:
+        from repro.incremental.cache import BoundCache
+
+        cache = BoundCache(cache_dir=args.cache_dir)
+    nc = analyze_network_calculus(
+        network,
+        grouping=not args.no_grouping,
+        collect_stats=collect_stats,
+        progress=progress,
+        cache=cache,
+    )
+    trajectory = analyze_trajectory(
+        network,
+        serialization=args.serialization,
+        collect_stats=collect_stats,
+        progress=progress,
+        cache=cache,
+    )
+    return nc, trajectory
+
+
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     if args.preflight:
         _run_preflight(network, args.config, ctx)
-    batch = BatchAnalyzer(
-        network,
-        jobs=args.jobs,
-        grouping=not args.no_grouping,
-        serialization=args.serialization,
-        collect_stats=ctx.collect,
-        progress=ctx.progress,
-        cache_dir=args.cache_dir,
-        use_shm=not args.no_shm,
-    )
-    nc = batch.network_calculus()
-    # with workers, reuse the NC result as the trajectory's Smax seed
-    # (the sequential path recomputes the identical grouped-NC seed)
-    seed = (
-        seed_smax_from_netcalc(network, nc)
-        if batch.jobs > 1 and not args.no_grouping
-        else None
-    )
-    trajectory = batch.trajectory(smax_seed=seed)
+    nc, trajectory = _run_analyzers(args, network, ctx.collect, ctx.progress)
     ctx.record_bounds(nc, trajectory)
     result = analyze_network(network, nc_result=nc, trajectory_result=trajectory)
     result.stats = summarize(result.paths.values())
@@ -764,23 +743,7 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
-    batch = BatchAnalyzer(
-        network,
-        jobs=args.jobs,
-        grouping=not args.no_grouping,
-        serialization=args.serialization,
-        collect_stats=True,
-        progress=ctx.progress,
-        cache_dir=args.cache_dir,
-        use_shm=not args.no_shm,
-    )
-    nc = batch.network_calculus()
-    seed = (
-        seed_smax_from_netcalc(network, nc)
-        if batch.jobs > 1 and not args.no_grouping
-        else None
-    )
-    trajectory = batch.trajectory(smax_seed=seed)
+    nc, trajectory = _run_analyzers(args, network, True, ctx.progress)
     ctx.record_bounds(nc, trajectory)
     ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
     if ctx.collect:
@@ -880,8 +843,6 @@ def _cmd_experiment(args: argparse.Namespace, ctx: _RunContext) -> int:
     kwargs = {}
     if args.vls is not None and args.id in ("table1", "fig5", "fig6"):
         kwargs["spec"] = IndustrialConfigSpec(n_virtual_links=args.vls)
-    if args.jobs != 1 and args.id in ("table1", "fig5", "fig6"):
-        kwargs["jobs"] = args.jobs
     result = run_experiment(args.id, metrics=ctx.metrics, **kwargs)
     print(result.render())
     if args.csv:
@@ -1003,7 +964,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         network,
         grouping=not args.no_grouping,
         serialization=args.serialization,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         collect_stats=ctx.collect,
         progress=ctx.progress,

@@ -135,23 +135,14 @@ def industrial_config(spec: IndustrialConfigSpec = IndustrialConfigSpec()) -> Ne
 
 @lru_cache(maxsize=4)
 def industrial_comparison(
-    spec: IndustrialConfigSpec = IndustrialConfigSpec(), jobs: int = 1
+    spec: IndustrialConfigSpec = IndustrialConfigSpec(),
 ) -> AnalysisResult:
     """Both analyses on the industrial configuration (cached).
 
     Several experiments (Table I, Figs. 5 and 6) aggregate the same
     per-path bounds, so the expensive run happens once per spec.
-    ``jobs > 1`` fans the run across the batch engine's worker pool
-    (:mod:`repro.batch`); the bounds are bit-identical for any ``jobs``
-    value, so the cache key including ``jobs`` only ever duplicates
-    work, never changes results.
     """
     network = industrial_config(spec)
-    if jobs != 1:
-        from repro.batch import BatchAnalyzer  # deferred: avoid an import cycle
-
-        batch = BatchAnalyzer(network, jobs=jobs, grouping=True, serialization=True)
-        return batch.combined()
     nc = analyze_network_calculus(network, grouping=True)
     trajectory = analyze_trajectory(network, serialization=True)
     return build_comparison(nc, trajectory)

@@ -91,8 +91,8 @@ def _path_walk_state(analyzer, vl_name: str, ports: List[PortId]):
         key = (vl_name, port)
         cached = analyzer._meeting_cache.get(key)
         if cached is None:
-            # batch coordinators never ran a sweep themselves: discover
-            # (and memoize) the structural meeting info on demand
+            # the walk keeps meetings in index form (`_meet_tree`):
+            # discover (and memoize) the name-level view on demand
             cached = analyzer._discover_meetings(vl_name, port, competitors)
             analyzer._meeting_cache[key] = cached
         added, readded, port_gain = cached

@@ -3,7 +3,7 @@
 REPRO601 replaces the syntactic REPRO401 pairing heuristic with a
 path-sensitive escape check.  The analysis runs forward over the
 :mod:`.cfg` graph mapping each local name to the set of acquire sites
-it may hold (``SharedMemory``/``ShmArena``/``WorkerPool``/``Pool``
+it may hold (``SharedMemory``/``WorkerPool``/``Pool``
 constructions, plus any project function whose summary says its return
 value carries an unreleased resource).  An acquire obligation dies
 when the path
@@ -56,7 +56,7 @@ OWNERSHIP_RULE_IDS = ("REPRO601", "REPRO602")
 
 #: Constructors / acquire helpers that create a release obligation.
 _ACQUIRE_NAMES = frozenset(
-    {"SharedMemory", "ShmArena", "WorkerPool", "Pool", "_attach_untracked"}
+    {"SharedMemory", "WorkerPool", "Pool", "_attach_untracked"}
 )
 
 #: Methods that discharge an obligation on their receiver.

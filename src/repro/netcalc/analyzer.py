@@ -139,24 +139,6 @@ class NetworkCalculusAnalyzer:
             )
         return self._fingerprints
 
-    def analyze_port_cached(
-        self, port_id: PortId, buckets: "Dict[str, LeakyBucket]"
-    ) -> PortAnalysis:
-        """:meth:`analyze_port` through the bound cache (if incremental).
-
-        The batch workers' entry point: falls back to a plain
-        :meth:`analyze_port` when the analyzer is not incremental.
-        """
-        cache = self._resolve_cache()
-        if cache is None:
-            return self.analyze_port(port_id, buckets)
-        fingerprint = self.port_fingerprints()[port_id]
-        analysis = cache.get("nc.port", fingerprint)
-        if analysis is None:
-            analysis = self.analyze_port(port_id, buckets)
-            cache.put("nc.port", fingerprint, analysis)
-        return analysis
-
     # ------------------------------------------------------------------
 
     def ingress_buckets(self) -> Dict[Tuple[str, PortId], LeakyBucket]:
@@ -182,8 +164,7 @@ class NetworkCalculusAnalyzer:
 
         Pure with respect to analyzer state — only ``network``,
         ``grouping`` and the passed buckets matter — which is what lets
-        the batch engine fan one propagation level's ports across
-        worker processes.
+        the bound cache serve it by a Merkle fingerprint of its inputs.
 
         Raises
         ------
@@ -239,11 +220,7 @@ class NetworkCalculusAnalyzer:
         result: NetworkCalculusResult,
         port_delay: Dict[PortId, float],
     ) -> None:
-        """Fill ``result.paths`` by summing per-port delays along each path.
-
-        Shared by :meth:`analyze` and the batch coordinator, which
-        produces ``port_delay`` from level-parallel workers.
-        """
+        """Fill ``result.paths`` by summing per-port delays along each path."""
         for vl_name, path_index, node_path in self.network.flow_paths():
             port_ids = tuple((a, b) for a, b in zip(node_path, node_path[1:]))
             delays = tuple(port_delay[pid] for pid in port_ids)

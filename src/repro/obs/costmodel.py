@@ -9,7 +9,7 @@ operations — *derived from the result structures themselves*
 ``n_candidates`` / ``n_competitors`` per tree port,
 :class:`~repro.netcalc.results.PortAnalysis` carries ``n_flows`` /
 ``n_groups``).  Because the bounds are bit-identical across
-``PYTHONHASHSEED``, ``--jobs N`` and cold/warm caches, so are the
+``PYTHONHASHSEED`` and cold/warm caches, so are the
 counters: "did the algorithm do less work" becomes an exact equality
 check (``scripts/bench_gate.py``), not a ±30% wall-time judgement.
 
@@ -31,11 +31,9 @@ The ledger has four sections:
     differs between cold and warm runs, so
     :func:`deterministic_section` excludes it.
 ``runtime``
-    Execution-shape counters (shared-memory segments created, warm-pool
-    reuse, payload epochs) — facts about *how* the run executed, not
-    about the algorithm's work, so they differ across ``--jobs`` and
-    pool states and are excluded from :func:`deterministic_section`
-    alongside ``cache``.
+    Execution-shape counters — facts about *how* the run executed, not
+    about the algorithm's work — excluded from
+    :func:`deterministic_section` alongside ``cache``.
 
 Everything here is integers and dict bookkeeping: no clocks, no float
 accumulation, no hash-order iteration.
@@ -183,9 +181,7 @@ def record_trajectory_sweep(
     """Fold one trajectory sweep's prefix bounds into the ledger.
 
     ``bounds`` is the sweep's ``(vl_name, port) -> TrajectoryPathBound``
-    map (sequential ``_sweep()`` output, or the coordinator's merged
-    chunk bounds under ``--jobs N`` — identical content either way,
-    which is what makes the ledger jobs-invariant).
+    map (``_sweep()`` output).
     """
     candidates = 0
     competitors = 0
@@ -211,7 +207,7 @@ def netcalc_cost_ledger(result) -> CostLedger:
     """The Network Calculus ledger, derived from a finished result.
 
     Purely a function of the :class:`NetworkCalculusResult` — which is
-    bit-identical across jobs, hash seeds and cache states — so the
+    bit-identical across hash seeds and cache states — so the
     ledger needs no in-loop instrumentation and is automatically exact
     even for cache-served results.  Per port: one *flow fold* per flow
     aggregated into the port's arrival curve, and ``n_groups + 1``
@@ -266,8 +262,7 @@ def deterministic_section(cost: Mapping[str, object]) -> Dict[str, object]:
     """A ledger dict minus its ``cache`` and ``runtime`` sections.
 
     What remains is the byte-identity contract: equal across
-    ``PYTHONHASHSEED`` values, ``--jobs``, pool states, and cold vs
-    warm caches.
+    ``PYTHONHASHSEED`` values and cold vs warm caches.
     """
     return {
         key: value

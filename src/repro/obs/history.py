@@ -22,8 +22,8 @@ A :func:`build_run_record` record has two halves:
   and cache states (the same invariant the analyzers guarantee for
   the bounds themselves);
 * a **volatile shell** — ``run_id``, ``recorded_at`` timestamp,
-  ``git_rev``, wall times, cache tallies, execution shape (jobs, shm,
-  warm-pool reuse, fleet telemetry summary).  Provenance, legitimately
+  ``git_rev``, wall times, cache tallies, execution shape (jobs, cache
+  directory, warm-pool reuse, fleet telemetry summary).  Provenance, legitimately
   different per run, and excluded from the deterministic view.
 
 The split is what makes *drift detection* sound: at a fixed
@@ -232,7 +232,7 @@ def build_run_record(
     ``work`` is the deterministic cost-ledger signature
     (:func:`repro.obs.costmodel.work_summary` shape: analyzer ->
     counter -> int); ``cache`` the per-analyzer hit/miss tallies;
-    ``execution`` the run shape (jobs, shm, fleet summary).
+    ``execution`` the run shape (jobs, cache directory, fleet summary).
     ``git_rev`` / ``recorded_at`` default to live provenance — tests
     pass explicit values to pin them.
     """

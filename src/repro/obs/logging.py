@@ -113,7 +113,7 @@ def set_worker_lane(lane: Optional[int]) -> None:
     then on every record logged under the ``repro`` hierarchy carries a
     ``[w<lane>]`` message prefix, so interleaved stderr from ``--jobs
     N`` runs is attributable to a worker — and joinable with the
-    Chrome-trace worker lanes, which use the same numbering.  Installed
+    telemetry lanes, which use the same numbering.  Installed
     via :func:`logging.setLogRecordFactory` (record creation), so it
     works whether the worker inherited a configured handler (fork) or
     merely propagates records (spawn).  ``None`` uninstalls.

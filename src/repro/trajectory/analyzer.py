@@ -260,10 +260,6 @@ class TrajectoryAnalyzer:
         self._obs = Instrumentation.create(collect_stats, progress)
         self._result: Optional[TrajectoryResult] = None
         self._prepared = False
-        # shared-memory contract columns adopted from a coordinator
-        # (``adopt_fast_tables``); None means build tables locally
-        self._adopted_tables: Optional[Tuple[Dict[str, "np.ndarray"], Dict]] = None
-        self._event_memo_enabled = True  # test hook: equivalence guard
         # explain=True recording: the Smax map the final sweep ran with
         # and that sweep's complete prefix-bound dictionary
         self._explain_smax: Optional[Dict[FlowPortKey, float]] = None
@@ -271,13 +267,9 @@ class TrajectoryAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def prepare(self, smax_seed: Optional[Dict[FlowPortKey, float]] = None) -> None:
-        """Validate, seed ``Smax`` and precompute sweep-invariant state.
-
-        ``smax_seed`` replaces the Network Calculus seeding — the batch
-        engine computes the seed once on the coordinator and ships it to
-        every worker instead of re-running the NC analysis per process.
-        Idempotent: the first call wins.
+    def prepare(self) -> None:
+        """Validate, seed ``Smax`` from Network Calculus and precompute
+        sweep-invariant state.  Idempotent: the first call wins.
         """
         if self._prepared:
             return
@@ -287,15 +279,14 @@ class TrajectoryAnalyzer:
             check_network(network)
             topological_port_order(network)  # raises CyclicRoutingError if cyclic
 
-        if smax_seed is None:
-            with obs.tracer.span("trajectory.nc_seed"):
-                nc_seed = analyze_network_calculus(
-                    network,
-                    grouping=True,
-                    incremental=self.incremental,
-                    cache=self._cache,
-                )
-            smax_seed = seed_smax_from_netcalc(network, nc_seed)
+        with obs.tracer.span("trajectory.nc_seed"):
+            nc_seed = analyze_network_calculus(
+                network,
+                grouping=True,
+                incremental=self.incremental,
+                cache=self._cache,
+            )
+        smax_seed = seed_smax_from_netcalc(network, nc_seed)
         with obs.tracer.span("trajectory.precompute"):
             self._smin = compute_smin(network)
             self._smax: Dict[FlowPortKey, float] = dict(smax_seed)
@@ -332,12 +323,10 @@ class TrajectoryAnalyzer:
         obs = self._obs
         collect = obs.enabled
 
-        # Whole-result reuse: only when this call would do the default
-        # NC seeding itself (a custom prepare(smax_seed) is not covered
-        # by the fingerprint) and no provenance is wanted (the replay
-        # needs the final sweep's live state).
+        # Whole-result reuse: only when no provenance is wanted (the
+        # replay needs the final sweep's live state).
         result_cache = result_fp = None
-        if self.incremental and not self._prepared and not self.explain:
+        if self.incremental and not self.explain:
             from repro.incremental.cache import default_cache
 
             result_cache = self._cache if self._cache is not None else default_cache()
@@ -486,7 +475,7 @@ class TrajectoryAnalyzer:
 
         Lazy import: the explain layer costs nothing unless requested.
         Requires ``_explain_smax`` / ``_explain_bounds`` to be set
-        (done by :meth:`analyze`, or by the batch coordinator).
+        (done by :meth:`analyze`).
         """
         from repro.explain.trajectory import trajectory_provenance
 
@@ -495,11 +484,7 @@ class TrajectoryAnalyzer:
     def build_result(
         self, bounds: Dict[FlowPortKey, TrajectoryPathBound], sweeps: int
     ) -> TrajectoryResult:
-        """Per-path result from one converged sweep's prefix bounds.
-
-        Shared by :meth:`analyze` and the batch coordinator (which runs
-        the sweeps remotely and only merges prefix bounds locally).
-        """
+        """Per-path result from one converged sweep's prefix bounds."""
         result = TrajectoryResult(
             serialization=self.serialization_mode, refinement_iterations=sweeps
         )
@@ -574,10 +559,11 @@ class TrajectoryAnalyzer:
         # per-node memo caches (sweep- and flow-invariant quantities):
         # the source busy period only involves flows sourced at the root
         # ES port, all with zero arrival offset, so it is one number per
-        # *node* shared by every VL of that port and every sweep; the
-        # meeting structure (which competitors join at a port, and the
-        # serialization credit they earn) is structural, so it is
-        # computed on the first sweep and replayed afterwards.
+        # *node* shared by every VL of that port and every sweep.  The
+        # name-level meeting structure per (VL, port) — which
+        # competitors join there and the serialization credit they
+        # earn — is structural; provenance replay fills it on demand
+        # (the walk itself replays the index form from `_meet_tree`).
         self._horizon_cache: Dict[PortId, float] = {}
         self._meeting_cache: Dict[
             FlowPortKey, Tuple[Tuple[str, ...], Tuple[str, ...], float]
@@ -620,45 +606,13 @@ class TrajectoryAnalyzer:
             name: index for index, name in enumerate(vl_order)
         }
         self._n_vls = len(vl_order)
-        adopted_arrays: Optional[Dict[str, "np.ndarray"]] = None
-        adopted_index: Dict[PortId, Tuple[int, int]] = {}
-        if self._adopted_tables is not None:
-            adopted_arrays, adopted_index = self._adopted_tables
         # per-port tuples plus their numpy mirrors for the batched fold
         # (`_batch_fold`) on wide ports; the fifth numpy column maps
         # each member's upstream port to a small per-port integer id
         # (-1 for source members) for the serialization-gain grouping.
-        # A port covered by adopted shared-memory columns slices its
-        # arrays zero-copy and lifts the scalars out of the slice —
-        # the exporter built them with the exact expressions below, so
-        # every float is bit-identical to a local build.
         self._port_tab: Dict[PortId, Tuple] = {}
         self._port_np: Dict[PortId, Tuple] = {}
         for pid, members in self._port_vls.items():
-            span = adopted_index.get(pid)
-            if span is not None and adopted_arrays is not None:
-                lo, hi = span
-                if hi - lo != len(members):
-                    raise ValueError(
-                        f"adopted fast tables do not match port {pid}: "
-                        f"{hi - lo} rows for {len(members)} members"
-                    )
-                c_np = adopted_arrays["C"][lo:hi]
-                t_np = adopted_arrays["T"][lo:hi]
-                g_np = adopted_arrays["G"][lo:hi]
-                smin_np = adopted_arrays["SMIN"][lo:hi]
-                mup_np = adopted_arrays["MUP"][lo:hi]
-                self._port_tab[pid] = (
-                    members,
-                    tuple(c_np.tolist()),
-                    tuple(t_np.tolist()),
-                    tuple(g_np.tolist()),
-                    tuple(self._upstream[(m, pid)] for m in members),
-                    tuple(smin_np.tolist()),
-                    {m: index for index, m in enumerate(members)},
-                )
-                self._port_np[pid] = (c_np, t_np, g_np, smin_np, mup_np)
-                continue
             rate = self._port_rate[pid]
             tab = (
                 members,
@@ -706,77 +660,6 @@ class TrajectoryAnalyzer:
         # per-port structural digests feeding the cross-config
         # ``"traj.node"`` cache namespace (`_port_struct_pack`)
         self._port_struct_packs: Dict[PortId, bytes] = {}
-
-    def export_fast_tables(
-        self,
-    ) -> Tuple[Dict[str, "np.ndarray"], Dict[PortId, Tuple[int, int]]]:
-        """Flat concatenation of the competitor tables for shm shipping.
-
-        Returns ``(columns, index)``: ``columns`` holds the per-port
-        contract columns ``C``/``T``/``G``/``SMIN``/``MUP`` concatenated
-        over the sorted port order plus the current ``Smax`` map packed
-        over its sorted keys (``SMAX``); ``index`` maps each port to its
-        ``(start, stop)`` slice.  A worker rebuilds bit-identical tables
-        from these via :meth:`adopt_fast_tables` without re-walking the
-        network contracts.
-        """
-        if not self._prepared:
-            raise RuntimeError("export_fast_tables needs a prepared analyzer")
-        index: Dict[PortId, Tuple[int, int]] = {}
-        parts: Dict[str, List["np.ndarray"]] = {
-            "C": [], "T": [], "G": [], "SMIN": [], "MUP": []
-        }
-        start = 0
-        for pid in sorted(self._port_np):
-            c_np, t_np, g_np, smin_np, mup_np = self._port_np[pid]
-            index[pid] = (start, start + len(c_np))
-            start += len(c_np)
-            parts["C"].append(c_np)
-            parts["T"].append(t_np)
-            parts["G"].append(g_np)
-            parts["SMIN"].append(smin_np)
-            parts["MUP"].append(mup_np)
-        empty = {
-            "C": np.float64, "T": np.float64, "G": np.intp,
-            "SMIN": np.float64, "MUP": np.intp,
-        }
-        columns = {
-            key: (
-                np.concatenate(arrays)
-                if arrays
-                else np.empty(0, dtype=empty[key])
-            )
-            for key, arrays in parts.items()
-        }
-        columns["SMAX"] = np.array(
-            [self._smax[key] for key in sorted(self._smax)], dtype=np.float64
-        )
-        return columns, index
-
-    def adopt_fast_tables(
-        self,
-        columns: Dict[str, "np.ndarray"],
-        index: Dict[PortId, Tuple[int, int]],
-    ) -> Dict[FlowPortKey, float]:
-        """Serve the competitor tables' contract columns from shared arrays.
-
-        Must be called before :meth:`prepare`.  Returns the ``Smax``
-        seed reconstructed from the exported pack — the key order is
-        recomputed from the network (:func:`tree_prefixes` sorted), the
-        same order :meth:`export_fast_tables` packed, so the floats land
-        on their keys bit for bit.
-        """
-        if self._prepared:
-            raise RuntimeError("adopt_fast_tables must precede prepare()")
-        self._adopted_tables = (columns, dict(index))
-        keys = sorted(tree_prefixes(self.network))
-        smax = columns["SMAX"]
-        if len(keys) != len(smax):
-            raise ValueError(
-                f"adopted Smax pack has {len(smax)} entries "
-                f"for {len(keys)} tree prefixes"
-            )
-        return {key: float(smax[pos]) for pos, key in enumerate(keys)}
 
     def _smax_slice(self, port: PortId) -> List[float]:
         """This sweep's ``Smax`` values of one port's members, in order."""
@@ -923,20 +806,13 @@ class TrajectoryAnalyzer:
     # One fixed-point sweep
     # ------------------------------------------------------------------
 
-    def smax_snapshot(self) -> Dict[FlowPortKey, float]:
-        """A copy of the current ``Smax`` map (batch coordinator seed)."""
-        if not self._prepared:
-            raise RuntimeError("prepare() must run before smax_snapshot()")
-        return dict(self._smax)
-
     def tighten_smax(
         self, bounds: Dict[FlowPortKey, TrajectoryPathBound]
     ) -> Tuple[Dict[FlowPortKey, float], float]:
         """One descending update of Smax.
 
         Returns ``(tightened entries, largest tightening in us)`` —
-        ``({}, 0.0)`` means the fixed point is stable.  The entry map is
-        what the batch engine broadcasts to its workers between sweeps.
+        ``({}, 0.0)`` means the fixed point is stable.
 
         A frame of ``v`` arrives in the queue of port ``p_k`` at most
         ``R_v(prefix through p_{k-1}) + latency(p_k owner)`` after its
@@ -961,10 +837,6 @@ class TrajectoryAnalyzer:
                     max_delta = delta
         return updates, max_delta
 
-    def apply_smax_updates(self, updates: Dict[FlowPortKey, float]) -> None:
-        """Install coordinator-tightened ``Smax`` entries (batch workers)."""
-        self._smax.update(updates)
-
     def _sweep(self) -> Dict[FlowPortKey, TrajectoryPathBound]:
         return self.sweep_vls(list(self.network.virtual_links))
 
@@ -974,9 +846,7 @@ class TrajectoryAnalyzer:
         """Walk the given VLs' trees once with the current ``Smax`` map.
 
         The prefix bounds of different VLs are independent within one
-        sweep, which is what lets the batch engine fan a sweep's walks
-        across worker processes and merge the per-chunk dictionaries in
-        any order without changing a single bit of the result.
+        sweep: each walk reads only the frozen ``Smax`` map.
         """
         if not self._prepared:
             raise RuntimeError("prepare() must run before sweep_vls()")
@@ -1160,14 +1030,12 @@ class TrajectoryAnalyzer:
         sets, whichever member is the studied VL), so callers key it in
         the shared :attr:`_meet_tree` rather than per VL.
 
-        Returns ``(n_added, added, readded, gain, vec, names)`` with
+        Returns ``(n_added, added, readded, gain, vec)`` with
         positions into the port's member tuple; for batches wide
         enough for :func:`_batch_fold`, ``vec`` carries the pre-sliced
         numpy columns ``(positions, vl indices, C, T, Smin)`` and
         ``added`` is left empty (the batch path never iterates
-        positions).  ``names`` is the name-level
-        ``(added, readded, gain)`` triple mirrored into
-        ``_meeting_cache`` for provenance replay and tests.
+        positions).
         """
         members, _mc, _mt, _mg, _mup, _msmin, _mpos = self._port_tab[port]
         mc_np, mt_np, mg_np, msmin_np, mup_id = self._port_np[port]
@@ -1216,11 +1084,6 @@ class TrajectoryAnalyzer:
                         spans.append(math.fsum(group) - max(group))
                 if spans:
                     port_gain = math.fsum(spans) if mode == "paper" else max(spans)
-        names = (
-            tuple(map(members.__getitem__, added_np.tolist())),
-            tuple(map(members.__getitem__, readded)),
-            port_gain,
-        )
         if n_added >= _VEC_MIN:
             vec = (
                 added_np,
@@ -1233,7 +1096,7 @@ class TrajectoryAnalyzer:
         else:
             vec = None
             added = tuple(added_np.tolist())
-        return n_added, added, readded, port_gain, vec, names
+        return n_added, added, readded, port_gain, vec
 
     def _walk_tree_fast(
         self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
@@ -1269,9 +1132,7 @@ class TrajectoryAnalyzer:
         port_max_c = self._port_max_c
         event_cache = self._event_cache
         event_counters = self._cache_counters["events"]
-        memo_enabled = self._event_memo_enabled
         meet_tree = self._meet_tree
-        meeting_cache = self._meeting_cache
         meeting_counters = self._cache_counters["meetings"]
         maximize = self._maximize_fast
         discover = self._discover_meetings_fast
@@ -1296,8 +1157,6 @@ class TrajectoryAnalyzer:
             c: float, period: float, offset: float
         ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
             """:func:`_flow_events` through the per-analyzer event memo."""
-            if not memo_enabled:
-                return _flow_events(c, period, offset, horizon)
             key = (c, period, offset, horizon)
             cached = event_cache.get(key)
             if cached is None:
@@ -1373,12 +1232,7 @@ class TrajectoryAnalyzer:
                     node[0] = meetings
                 else:
                     meeting_counters[0] += 1
-                n_added, added_idx, readded_idx, port_gain, vec, names = meetings
-                # keep the name-level view in sync: provenance replay
-                # (and tests poking at internals) read `_meeting_cache`
-                key = (vl_name, port)
-                if key not in meeting_cache:
-                    meeting_cache[key] = names
+                n_added, added_idx, readded_idx, port_gain, vec = meetings
                 if n_added or (safe and readded_idx):
                     _m, mc, mt, _mg, _mu, msmin, mpos = port_tab[port]
                     mg_port = _mg

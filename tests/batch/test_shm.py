@@ -2,8 +2,8 @@
 
 The coordinator owns every segment it creates (``shm._OWNED``); workers
 attach without registering with the resource tracker.  These tests pin
-the lifecycle contract the batch engine and the REPRO401 lint rule are
-built on: nothing leaks after a normal close, and nothing leaks after a
+the lifecycle contract the warm pool's payload epochs and the REPRO601
+lint rule are built on: nothing leaks after a normal close, and nothing leaks after a
 worker is SIGKILLed mid-task.
 """
 
@@ -11,39 +11,10 @@ import multiprocessing
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.batch import shm
 from repro.batch.pool import WorkerPool, worker_payload
-
-
-class TestShmArena:
-    def test_roundtrip_and_read_only_views(self):
-        arrays = {
-            "c": np.arange(6, dtype=np.float64),
-            "t": np.array([1.0, 2.5], dtype=np.float64),
-        }
-        arena = shm.ShmArena(arrays)
-        try:
-            assert arena.spec.name in shm.active_owned()
-            attached, segment = shm.attach(arena.spec)
-            try:
-                assert sorted(attached) == ["c", "t"]
-                np.testing.assert_array_equal(attached["c"], arrays["c"])
-                np.testing.assert_array_equal(attached["t"], arrays["t"])
-                assert not attached["c"].flags.writeable
-            finally:
-                segment.close()
-        finally:
-            arena.close_and_unlink()
-        assert arena.spec.name not in shm.active_owned()
-
-    def test_close_and_unlink_is_idempotent(self):
-        arena = shm.ShmArena({"x": np.zeros(3)})
-        arena.close_and_unlink()
-        arena.close_and_unlink()
-        assert shm.active_owned() == []
 
 
 class TestPickledSpec:

@@ -54,14 +54,11 @@ def test_unknown_vl_is_an_analysis_error(fig2_json, capsys):
     assert "unknown VL" in capsys.readouterr().err
 
 
-def test_output_file_and_jobs_byte_identical(fig2_json, tmp_path, capsys):
-    sequential = run(capsys, ["explain", fig2_json, "--format", "json"])
-    pooled = run(capsys, ["explain", fig2_json, "--format", "json", "--jobs", "4"])
-    assert sequential == pooled
-
+def test_output_file_byte_identical_to_stdout(fig2_json, tmp_path, capsys):
+    printed = run(capsys, ["explain", fig2_json, "--format", "json"])
     out = tmp_path / "explanation.json"
     assert main(["explain", fig2_json, "--format", "json", "-o", str(out)]) == 0
-    assert out.read_text() == sequential
+    assert out.read_text() == printed
 
 
 def test_cold_vs_warm_cache_byte_identical(fig2_json, tmp_path, capsys):

@@ -37,15 +37,6 @@ def test_random_networks_conserve(seed):
     assert_explanation_conserves(explanation)
 
 
-def test_fig2_conserves_under_jobs(fig2):
-    sequential = explain_network(fig2, jobs=1)
-    pooled = explain_network(fig2, jobs=2)
-    assert_explanation_conserves(pooled)
-    # the pool must produce the *same* ledgers, not merely conserving ones
-    assert pooled.netcalc.provenance == sequential.netcalc.provenance
-    assert pooled.trajectory.provenance == sequential.trajectory.provenance
-
-
 def test_industrial_sample_conserves(small_industrial):
     explanation = explain_network(small_industrial)
     assert_explanation_conserves(explanation)

@@ -74,11 +74,9 @@ def test_kv_formatting():
 
 class TestWorkerLanePrefix:
     def test_prefix_format_matches_trace_lanes(self):
-        """``[w<lane>]`` with lanes numbered like the Chrome-trace tids."""
+        """``[w<lane>]`` with lanes numbered from the pool's lane base."""
         from repro.batch.pool import LANE_BASE
-        from repro.obs.tracefile import _WORKER_TID_BASE
 
-        assert LANE_BASE == _WORKER_TID_BASE
         assert lane_prefix(LANE_BASE + 2) == "[w102]"
 
     def test_repro_records_get_the_prefix(self):

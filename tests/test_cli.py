@@ -130,9 +130,9 @@ def test_report_command_to_file(fig2_json, tmp_path, capsys):
     assert "Top 2 critical paths" in text
 
 
-def test_unstable_network_exits_with_distinct_code(tmp_path, capsys):
-    from repro.cli import EXIT_UNSTABLE
-    from repro.network import NetworkBuilder, network_to_json
+@pytest.fixture
+def unstable_json(tmp_path):
+    from repro.network import NetworkBuilder
 
     builder = (
         NetworkBuilder("unstable").switches("SW").end_systems("a", "d")
@@ -145,9 +145,21 @@ def test_unstable_network_exits_with_distinct_code(tmp_path, capsys):
         )
     path = tmp_path / "unstable.json"
     network_to_json(builder.build(validate=False), path)
-    assert main(["analyze", str(path)]) == EXIT_UNSTABLE
+    return str(path)
+
+
+def test_unstable_network_exits_with_distinct_code(unstable_json, capsys):
+    from repro.cli import EXIT_UNSTABLE
+
+    assert main(["analyze", unstable_json]) == EXIT_UNSTABLE
     err = capsys.readouterr().err
     assert err.startswith("afdx: error:")
+
+
+def test_cli_exit_code_unstable(unstable_json, capsys):
+    """The instability diagnostic names the overloaded output port."""
+    assert main(["analyze", unstable_json]) == 4
+    assert "overloaded" in capsys.readouterr().err
 
 
 def test_analyze_metrics_json_manifest(fig2_json, tmp_path, capsys):
@@ -235,6 +247,15 @@ def test_missing_config_file_exits_with_config_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("afdx: error: cannot read configuration")
     assert "Traceback" not in err
+
+
+def test_incomplete_config_exits_with_config_code(tmp_path, capsys):
+    from repro.cli import EXIT_CONFIG_ERROR
+
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"name": "x"}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("afdx: error:")
 
 
 def test_malformed_json_exits_with_config_code(tmp_path, capsys):
@@ -449,3 +470,22 @@ def test_trace_does_not_change_bounds(fig2_json, tmp_path, capsys):
     assert main(["analyze", fig2_json, "--trace", str(tmp_path / "t.json")]) == 0
     traced = capsys.readouterr().out
     assert plain == traced  # the notice goes to stderr, bounds unchanged
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--jobs", "2"],
+        ["analyze", "--no-shm"],
+        ["profile", "--jobs", "2"],
+        ["explain", "--jobs", "2"],
+        ["experiment", "table1", "--jobs", "2"],
+    ],
+)
+def test_single_config_commands_take_no_worker_flags(fig2_json, argv, capsys):
+    """One configuration is analyzed sequentially; only batch-sweep fans out."""
+    if argv[0] != "experiment":
+        argv = [argv[0], fig2_json] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -85,24 +85,20 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
         events: List[Tuple[float, float]] = []
         event_cache = self._event_cache
         event_counters = self._cache_counters["events"]
-        memo_enabled = self._event_memo_enabled
 
         def add_flow(entry: Tuple[float, float, float]) -> int:
             """Fold one flow into the workload state; return #events added."""
             nonlocal base_workload
             c, period, offset = entry
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-                base, flow_events = cached
+            key = (c, period, offset, horizon)
+            cached = event_cache.get(key)
+            if cached is None:
+                event_counters[1] += 1
+                cached = _flow_events(c, period, offset, horizon)
+                event_cache[key] = cached
             else:
-                base, flow_events = _flow_events(c, period, offset, horizon)
+                event_counters[0] += 1
+            base, flow_events = cached
             base_workload += base
             events.extend(flow_events)
             return len(flow_events)

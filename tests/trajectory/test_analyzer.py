@@ -162,7 +162,11 @@ class TestMeshReMeeting:
     def test_re_meeting_discovered_at_rejoin_port(self, mesh):
         analyzer = TrajectoryAnalyzer(mesh, serialization="safe")
         analyzer.analyze()
-        added, readded, _gain = analyzer._meeting_cache[("v1", ("S3", "d"))]
+        # the competitors met upstream of S3->d: v2 crosses S1->S2
+        competitors = {"v1": None, "v2": None}
+        added, readded, _gain = analyzer._discover_meetings(
+            "v1", ("S3", "d"), competitors
+        )
         assert readded == ("v2",)
         assert "v2" not in added
 
@@ -188,20 +192,18 @@ class TestMeshReMeeting:
 
 
 class TestEventMemoEquivalence:
-    """The per-sweep candidate-event memo must not change any bound."""
+    """The candidate-event memo must serve exactly what it would compute."""
 
-    def test_memo_off_gives_identical_results(self):
+    def test_memo_entries_equal_fresh_folds(self):
         from repro.configs.random_topology import random_network
+        from repro.trajectory.analyzer import _flow_events
 
         network = random_network(31, n_switches=3, n_end_systems=6,
                                  n_virtual_links=10)
-        plain = TrajectoryAnalyzer(network, serialization="safe")
-        unmemoized = TrajectoryAnalyzer(network, serialization="safe")
-        unmemoized._event_memo_enabled = False  # test hook
-        with_memo = plain.analyze()
-        without_memo = unmemoized.analyze()
-        assert with_memo.paths == without_memo.paths
-        assert with_memo.refinement_iterations == without_memo.refinement_iterations
-        hits, misses = plain._cache_counters["events"]
+        analyzer = TrajectoryAnalyzer(network, serialization="safe")
+        analyzer.analyze()
+        assert analyzer._event_cache
+        for (c, period, offset, horizon), events in analyzer._event_cache.items():
+            assert events == _flow_events(c, period, offset, horizon)
+        hits, misses = analyzer._cache_counters["events"]
         assert hits > 0  # the memo actually engaged on this topology
-        assert unmemoized._cache_counters["events"] == [0, 0]

@@ -6,7 +6,7 @@ promises *exactly* the floats of the original dict-based walk, kept
 frozen in :mod:`tests.trajectory.reference_kernel`, not merely close
 ones.  These tests enforce that promise on randomized topologies under
 hypothesis and on a seeded 1000-VL industrial configuration; the
-committed-scenario sweep (including ``--jobs`` and incremental-cache
+committed-scenario sweep (including cold and warm incremental-cache
 shapes) lives in ``scripts/kernel_gate.py``.
 """
 
@@ -108,13 +108,9 @@ class TestAtScale:
         """Seeded 1000-VL industrial configuration.
 
         Oracle bit-identity at this size is too slow for the suite;
-        here we assert the walk completes with sound-looking bounds for every path, and
-        that the ``--jobs 4`` warm-pool execution shape reproduces the
-        sequential floats exactly (the fleet engine's contract at the
-        scale the paper targets).
+        here we assert the walk completes with sound-looking bounds for
+        every path.
         """
-        from repro.batch import BatchAnalyzer, shm
-        from repro.batch.pool import WorkerPool
         from repro.configs.industrial import (
             IndustrialConfigSpec,
             industrial_network,
@@ -126,15 +122,3 @@ class TestAtScale:
         for key, bound in result.paths.items():
             assert bound.total_us > 0.0, key
             assert bound.busy_period_us >= 0.0, key
-
-        with WorkerPool(4, None) as pool:
-            parallel = BatchAnalyzer(
-                network, jobs=4, serialization="windowed", pool=pool,
-            ).trajectory()
-        assert set(parallel.paths) == set(result.paths)
-        for key in result.paths:
-            for name in FLOAT_FIELDS:
-                assert getattr(parallel.paths[key], name) == getattr(
-                    result.paths[key], name
-                ), (key, name)
-        assert shm.active_owned() == []
